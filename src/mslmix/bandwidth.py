@@ -1,6 +1,7 @@
 # Data-driven bandwidths: a two-stage direct plug-in selector for kernel
 # density estimation, per-component observation subsets, and the adaptive
-# fitting loop that re-selects bandwidths as the component weights evolve.
+# policy that re-selects bandwidths as the component weights evolve. The
+# iteration itself is the shared loop in engine.py.
 
 from __future__ import annotations
 
@@ -9,19 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MixtureSample
-from .engine import (
-    FitConfig,
-    FitResult,
-    _initial_weights,
-    _loglik,
-    _mm_loop,
-    _smoothed_matrix,
-    component_denseness,
-    mm_update,
-    posterior_weights,
-)
-from .kernels import QUARTIC, Kernel, build_grid
-from .smoothing import DiscretizedKernel
+from .engine import FitConfig, FitResult, run_fit
+from .kernels import QUARTIC, Kernel
 
 __all__ = [
     "DegenerateScaleError",
@@ -33,11 +23,6 @@ __all__ = [
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _SQRT_PI = np.sqrt(np.pi)
-
-#: Consecutive-iteration bandwidth change below which the adaptive loop stops
-#: re-selecting bandwidths and reduces to the fixed-bandwidth iteration.
-BANDWIDTH_FREEZE_TOL = 1e-6
-_FREEZE_RUNS = 2
 
 
 class DegenerateScaleError(ValueError):
@@ -174,110 +159,24 @@ def fit_adaptive(
     only guaranteed monotone over the frozen tail, because changing the
     bandwidths changes the objective.
     """
-    config = config or FitConfig()
     h0 = plugin_bandwidth(sample.xs, kernel)
-    M = sample.n_components
-    hs = np.full(M, h0)
-    target_check = select_component_subsets(sample, np.ones_like(sample.alphas))
+    # reject effectively empty components before any fitting
+    select_component_subsets(sample, np.ones_like(sample.alphas))
 
-    def rebuild(h_need: float):
-        grid = build_grid(
-            sample.xs,
-            h_need,
-            kernel,
-            count=config.grid_size,
-            pad_fraction=config.pad_fraction,
-            span=config.grid_range,
-        )
-        return grid
-
-    grid = rebuild(h0)
-    discs = [DiscretizedKernel(kernel, sample.xs, h, grid) for h in hs]
-    W = _initial_weights(sample, config)
-    trace: list[float] = []
-    h_trace = [hs.copy()]
-    degenerate: set[int] = set()
-    freeze_run = 0
-    frozen_at = None
-    subset_sizes = [len(m) for m in target_check.members]
-
-    adapt_budget = config.max_iterations
-    for it in range(adapt_budget):
-        smoothed = _smoothed_matrix(sample, W, discs)
-        ll, dead = _loglik(sample, smoothed)
-        if dead.size:
-            degenerate.update(int(i) for i in dead)
-        if it == 0 and np.isneginf(ll):
-            raise RuntimeError(
-                "smoothed likelihood is -inf at initialization; the initial "
-                "bandwidth is too small for the data spacing"
-            )
-        trace.append(ll)
-        W = posterior_weights(sample, smoothed)
-
+    def reselect(W: np.ndarray) -> tuple[np.ndarray, dict]:
         selection = select_component_subsets(sample, W)
-        subset_sizes = [len(m) for m in selection.members]
-        new_hs = np.array(
+        hs = np.array(
             [plugin_bandwidth(sample.xs[m], kernel) for m in selection.members]
         )
-        h_trace.append(new_hs.copy())
-        if np.max(np.abs(new_hs - hs)) < BANDWIDTH_FREEZE_TOL:
-            freeze_run += 1
-        else:
-            freeze_run = 0
-        moved = np.any(new_hs != hs)
-        hs = new_hs
-        if moved:
-            if not grid.covers(
-                float(sample.xs.min()) - kernel.half_width * hs.max(),
-                float(sample.xs.max()) + kernel.half_width * hs.max(),
-            ):
-                grid = rebuild(float(hs.max()))
-            discs = [DiscretizedKernel(kernel, sample.xs, h, grid) for h in hs]
-        if freeze_run >= _FREEZE_RUNS:
-            frozen_at = it + 1
-            break
-    else:
-        # bandwidths never settled; report the run as not converged
-        W_probe = posterior_weights(sample, _smoothed_matrix(sample, W, discs))
-        return FitResult(
-            components=mm_update(sample, W, hs, kernel),
-            bandwidths=hs,
-            weights=W,
-            loglik_trace=np.asarray(trace),
-            iterations=len(trace),
-            converged=False,
-            fixed_point_gap=float(np.max(np.abs(W_probe - W))),
-            grid=grid,
-            bandwidth_trace=np.asarray(h_trace),
-            diagnostics={
-                "degenerate_rows": sorted(degenerate),
-                "target_counts": selection.target_counts.tolist(),
-                "subset_sizes": subset_sizes,
-                "frozen_at": None,
-                "denseness": component_denseness(sample, hs, kernel),
-            },
-        )
-
-    remaining = max(config.max_iterations - len(trace), 1)
-    W, W_next, converged = _mm_loop(
-        sample, W, discs, config.tolerance, remaining, trace, degenerate
-    )
-    return FitResult(
-        components=mm_update(sample, W, hs, kernel),
-        bandwidths=hs,
-        weights=W,
-        loglik_trace=np.asarray(trace),
-        iterations=len(trace),
-        converged=converged,
-        fixed_point_gap=float(np.max(np.abs(W_next - W))),
-        grid=grid,
-        bandwidth_trace=np.asarray(h_trace),
-        diagnostics={
-            "degenerate_rows": sorted(degenerate),
+        return hs, {
             "target_counts": selection.target_counts.tolist(),
-            "subset_sizes": subset_sizes,
-            "frozen_at": frozen_at,
-            "denseness": component_denseness(sample, hs, kernel),
-        },
+            "subset_sizes": [len(m) for m in selection.members],
+        }
+
+    return run_fit(
+        sample,
+        np.full(sample.n_components, h0),
+        config or FitConfig(),
+        kernel,
+        reselect,
     )

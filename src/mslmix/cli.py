@@ -64,7 +64,7 @@ def ingest_csv(path: str | Path, expected_components: int | None = None) -> Mixt
             except ValueError:
                 raise ValueError(f"{path}:{line}: non-numeric field in {row}")
             a = np.array(values[1:])
-            if np.any(a < 0) or np.any(a > 1 + ROW_SUM_INGEST_TOL):
+            if not np.all((a >= 0) & (a <= 1 + ROW_SUM_INGEST_TOL)):
                 raise ValueError(
                     f"{path}:{line}: proportions must lie in [0, 1]"
                 )

@@ -36,7 +36,7 @@ class MixtureSample:
             )
         if not np.all(np.isfinite(xs)):
             raise ValueError("xs must be finite")
-        if np.any(alphas < 0) or np.any(alphas > 1):
+        if not np.all((alphas >= 0) & (alphas <= 1)):
             raise ValueError("mixing proportions must lie in [0, 1]")
         row_err = np.abs(alphas.sum(axis=1) - 1.0)
         if np.any(row_err > ROW_SUM_TOL):

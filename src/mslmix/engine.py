@@ -1,25 +1,24 @@
-# Posterior weights, the density updating operator, and the fixed-bandwidth
-# fitting loop.
+# Posterior weights, the density updating operator, and the one fitting
+# loop behind both the fixed-bandwidth and the adaptive fits.
 #
 # Each pass replaces the component densities by weighted kernel densities
-# whose weights are the posterior shares of the smoothed likelihood. The
-# update never decreases the smoothed log-likelihood; iteration stops when
-# the likelihood change drops below tolerance.
+# whose weights are the posterior shares of the smoothed likelihood. At
+# fixed bandwidths the update never decreases the smoothed log-likelihood.
+# An optional re-selection step may move the bandwidths after each pass
+# until they settle; from then on they are frozen, and iteration stops when
+# the likelihood change drops below tolerance. A fixed-bandwidth fit is the
+# same loop frozen from the start.
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import MixtureSample
 from .kernels import QUARTIC, Grid, Kernel, build_grid
-from .smoothing import (
-    ZERO_FLOOR,
-    DiscretizedKernel,
-    WeightedKernelDensity,
-)
+from .smoothing import DiscretizedKernel, WeightedKernelDensity, floored_log
 
 __all__ = [
     "ComponentVanishedError",
@@ -29,6 +28,11 @@ __all__ = [
     "mm_update",
     "fit_fixed_bandwidth",
 ]
+
+#: Consecutive-pass bandwidth change below which re-selection stops and the
+#: bandwidths are frozen (after _FREEZE_RUNS such passes in a row).
+BANDWIDTH_FREEZE_TOL = 1e-6
+_FREEZE_RUNS = 2
 
 
 class ComponentVanishedError(RuntimeError):
@@ -43,7 +47,7 @@ class ComponentVanishedError(RuntimeError):
 
 @dataclass
 class FitConfig:
-    """Knobs for the fitting loops.
+    """Knobs for the fitting loop.
 
     ``init_weights`` supplies a starting (n, M) weight matrix; when None the
     start is drawn row-wise from uniform[0, 1] and normalized, using ``seed``.
@@ -129,7 +133,7 @@ def _initial_weights(sample: MixtureSample, config: FitConfig) -> np.ndarray:
                 f"init_weights shape {W.shape} does not match ({sample.n}, "
                 f"{sample.n_components})"
             )
-        if np.any(W < 0) or np.any(W > 1):
+        if not np.all((W >= 0) & (W <= 1)):
             raise ValueError("init_weights must lie in [0, 1]")
         return W.copy()
     rng = np.random.default_rng(config.seed)
@@ -149,9 +153,7 @@ def _smoothed_matrix(
         if not W[:, j].sum() > 0:
             raise ComponentVanishedError(j)
         f = discs[j].density_on_grid(W[:, j])
-        positive = f > ZERO_FLOOR
-        logf = np.where(positive, np.log(np.where(positive, f, 1.0)), -np.inf)
-        out[:, j] = discs[j].smooth_log(logf)
+        out[:, j] = discs[j].smooth_log(floored_log(f))
     return out
 
 
@@ -163,27 +165,52 @@ def _loglik(sample: MixtureSample, smoothed: np.ndarray) -> tuple[float, np.ndar
     return float(np.log(p).sum()), dead
 
 
-def _mm_loop(
+def run_fit(
     sample: MixtureSample,
-    W: np.ndarray,
-    discs: Sequence[DiscretizedKernel],
-    tolerance: float,
-    max_iterations: int,
-    trace: list[float],
-    degenerate: set[int],
-):
-    """Iterate the update at fixed bandwidths until the likelihood settles.
+    bandwidths: Sequence[float],
+    config: FitConfig,
+    kernel: Kernel = QUARTIC,
+    reselect: Callable[[np.ndarray], tuple[np.ndarray, dict]] | None = None,
+) -> FitResult:
+    """The smoothed-likelihood iteration behind every fit (package-internal).
 
-    Returns (W, W_next, converged) where W built the last evaluated fit and
-    W_next is one further update beyond it (the fixed-point probe).
+    ``reselect`` maps the new weights of each pass to (bandwidths,
+    diagnostics) until two consecutive passes move the bandwidths by less
+    than BANDWIDTH_FREEZE_TOL; without it the bandwidths are frozen from
+    pass 0. Convergence is tested only while frozen, so the first frozen
+    pass compares against the last adaptive likelihood, and a freeze on the
+    last budgeted pass still gets one frozen pass.
     """
-    prev = trace[-1] if trace else None
-    W_next = None
-    for _ in range(max_iterations):
+
+    def discretize(hs: np.ndarray, grid: Grid | None = None):
+        # operators for hs; the grid is rebuilt only when a window leaves it
+        reach = kernel.half_width * hs.max()
+        lo, hi = float(sample.xs.min()) - reach, float(sample.xs.max()) + reach
+        if grid is None or not grid.covers(lo, hi):
+            grid = build_grid(
+                sample.xs,
+                float(hs.max()),
+                kernel,
+                count=config.grid_size,
+                pad_fraction=config.pad_fraction,
+                span=config.grid_range,
+            )
+        return grid, [DiscretizedKernel(kernel, sample.xs, h, grid) for h in hs]
+
+    hs = np.array(bandwidths, dtype=float)
+    grid, discs = discretize(hs)
+    W = _initial_weights(sample, config)
+    trace: list[float] = []
+    h_trace = [hs]
+    degenerate: set[int] = set()
+    selection: dict = {}
+    frozen_at = 0 if reselect is None else None
+    freeze_run = 0
+    converged = False
+    while len(trace) < config.max_iterations or len(trace) == frozen_at:
         smoothed = _smoothed_matrix(sample, W, discs)
         ll, dead = _loglik(sample, smoothed)
-        if dead.size:
-            degenerate.update(int(i) for i in dead)
+        degenerate.update(dead.tolist())
         if not trace and np.isneginf(ll):
             raise RuntimeError(
                 "smoothed likelihood is -inf at initialization; the "
@@ -192,19 +219,46 @@ def _mm_loop(
             )
         trace.append(ll)
         W_next = posterior_weights(sample, smoothed)
+        # a change involving -inf is inf or nan, never below tolerance
         if (
-            prev is not None
-            and np.isfinite(ll)
-            and np.isfinite(prev)
-            and abs(ll - prev) < tolerance
+            frozen_at is not None
+            and len(trace) > 1
+            and abs(trace[-1] - trace[-2]) < config.tolerance
         ):
-            return W, W_next, True
-        prev = ll
-        W, W_next = W_next, None
-    if W_next is None:
-        smoothed = _smoothed_matrix(sample, W, discs)
-        W_next = posterior_weights(sample, smoothed)
-    return W, W_next, False
+            converged = True
+            break
+        W = W_next
+        if frozen_at is None:
+            new_hs, selection = reselect(W)
+            h_trace.append(new_hs)
+            if np.max(np.abs(new_hs - hs)) < BANDWIDTH_FREEZE_TOL:
+                freeze_run += 1
+            else:
+                freeze_run = 0
+            if np.any(new_hs != hs):
+                hs = new_hs
+                grid, discs = discretize(hs, grid)
+            if freeze_run >= _FREEZE_RUNS:
+                frozen_at = len(trace)
+    if not converged:
+        W_next = posterior_weights(sample, _smoothed_matrix(sample, W, discs))
+
+    diagnostics = {"degenerate_rows": sorted(degenerate)}
+    if reselect is not None:
+        diagnostics.update(selection, frozen_at=frozen_at)
+    diagnostics["denseness"] = component_denseness(sample, hs, kernel)
+    return FitResult(
+        components=mm_update(sample, W, hs, kernel),
+        bandwidths=hs,
+        weights=W,
+        loglik_trace=np.asarray(trace),
+        iterations=len(trace),
+        converged=converged,
+        fixed_point_gap=float(np.max(np.abs(W_next - W))),
+        grid=grid,
+        bandwidth_trace=None if reselect is None else np.asarray(h_trace),
+        diagnostics=diagnostics,
+    )
 
 
 def fit_fixed_bandwidth(
@@ -224,41 +278,12 @@ def fit_fixed_bandwidth(
     RuntimeError when the very first likelihood is -inf, which signals
     bandwidths below the data spacing.
     """
-    config = config or FitConfig()
     bandwidths = [float(h) for h in bandwidths]
     if len(bandwidths) != sample.n_components:
         raise ValueError("need one bandwidth per component")
     if min(bandwidths) <= 0:
         raise ValueError("bandwidths must be positive")
-    grid = build_grid(
-        sample.xs,
-        max(bandwidths),
-        kernel,
-        count=config.grid_size,
-        pad_fraction=config.pad_fraction,
-        span=config.grid_range,
-    )
-    discs = [DiscretizedKernel(kernel, sample.xs, h, grid) for h in bandwidths]
-    W = _initial_weights(sample, config)
-    trace: list[float] = []
-    degenerate: set[int] = set()
-    W, W_next, converged = _mm_loop(
-        sample, W, discs, config.tolerance, config.max_iterations, trace, degenerate
-    )
-    return FitResult(
-        components=mm_update(sample, W, bandwidths, kernel),
-        bandwidths=np.asarray(bandwidths),
-        weights=W,
-        loglik_trace=np.asarray(trace),
-        iterations=len(trace),
-        converged=converged,
-        fixed_point_gap=float(np.max(np.abs(W_next - W))),
-        grid=grid,
-        diagnostics={
-            "degenerate_rows": sorted(degenerate),
-            "denseness": component_denseness(sample, bandwidths, kernel),
-        },
-    )
+    return run_fit(sample, bandwidths, config or FitConfig(), kernel)
 
 
 def component_denseness(

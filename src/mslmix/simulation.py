@@ -267,6 +267,15 @@ def _config_snapshot(config: FitConfig, n: int) -> dict:
     return doc
 
 
+def _failure(r: int, estimator: str, exc: Exception) -> dict:
+    return {
+        "replicate": r,
+        "estimator": estimator,
+        "error": type(exc).__name__,
+        "message": str(exc),
+    }
+
+
 def run_replications(
     design: StudyDesign,
     replications: int,
@@ -320,14 +329,7 @@ def run_replications(
                 fitted = fit_adaptive(sample, rep_config, kernel)
                 h_needed = max(h_needed, float(fitted.bandwidths.max()))
             except Exception as exc:  # recorded, not fatal
-                failures.append(
-                    {
-                        "replicate": r,
-                        "estimator": "proposed",
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                    }
-                )
+                failures.append(_failure(r, "proposed", exc))
         simple_blocks = None
         if "simple" in names:
             split = sample.n - design.pure_block
@@ -339,14 +341,7 @@ def run_replications(
                     plugin_bandwidth(simple_blocks[1], kernel),
                 )
             except Exception as exc:
-                failures.append(
-                    {
-                        "replicate": r,
-                        "estimator": "simple",
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                    }
-                )
+                failures.append(_failure(r, "simple", exc))
                 simple_blocks = None
 
         lo = min(design.eval_range[0], float(xs.min()) - L * h_needed - 1e-9)
@@ -370,14 +365,7 @@ def run_replications(
                     kernel,
                 )
             except Exception as exc:
-                failures.append(
-                    {
-                        "replicate": r,
-                        "estimator": "simple",
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                    }
-                )
+                failures.append(_failure(r, "simple", exc))
             else:
                 min_f1.append(float(f1.values.min()))
                 for j, est in enumerate((f1, f2)):

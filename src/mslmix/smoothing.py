@@ -49,7 +49,7 @@ class WeightedKernelDensity:
         w = np.asarray(self.weights, dtype=float)
         if xs.ndim != 1 or w.shape != xs.shape:
             raise ValueError("xs and weights must be 1-d arrays of equal length")
-        if np.any(w < 0) or np.any(w > 1):
+        if not np.all((w >= 0) & (w <= 1)):
             raise ValueError("weights must lie in [0, 1]")
         if not w.sum() > 0:
             raise ValueError("weights must have positive sum")
@@ -134,12 +134,15 @@ def eval_on_grid(f: WeightedKernelDensity, grid: Grid) -> GridDensity:
     return GridDensity(grid, disc.density_on_grid(f.weights[active]))
 
 
+def floored_log(values: np.ndarray, floor: float = ZERO_FLOOR) -> np.ndarray:
+    """Elementwise log with the zero-density sentinel -inf at or below ``floor``."""
+    positive = values > floor
+    return np.where(positive, np.log(np.where(positive, values, 1.0)), -np.inf)
+
+
 def log_density(g: GridDensity, floor: float = ZERO_FLOOR) -> GridDensity:
     """Log values with the zero-density sentinel -inf below ``floor``."""
-    v = g.values
-    positive = v > floor
-    out = np.where(positive, np.log(np.where(positive, v, 1.0)), -np.inf)
-    return GridDensity(g.grid, out)
+    return GridDensity(g.grid, floored_log(g.values, floor))
 
 
 def nonlinear_smooth(

@@ -10,9 +10,14 @@ from mslmix.bandwidth import (
     select_component_subsets,
 )
 from mslmix.data import MixtureSample
-from mslmix.engine import FitConfig
+from mslmix.engine import FitConfig, posterior_weights
 from mslmix.simulation import gen_study1, gen_study3
-from mslmix.smoothing import WeightedKernelDensity, eval_on_grid
+from mslmix.smoothing import (
+    WeightedKernelDensity,
+    eval_on_grid,
+    log_density,
+    nonlinear_smooth,
+)
 
 SQRT_2PI = np.sqrt(2 * np.pi)
 SQRT_PI = np.sqrt(np.pi)
@@ -187,3 +192,37 @@ class TestFitAdaptive:
         assert res.bandwidth_trace.shape[1] == 2
         assert np.all(res.bandwidth_trace > 0)
         assert np.array_equal(res.bandwidth_trace[-1], res.bandwidths)
+        assert list(res.diagnostics) == [
+            "degenerate_rows",
+            "target_counts",
+            "subset_sizes",
+            "frozen_at",
+            "denseness",
+        ]
+
+    def test_budget_exhausted_before_freeze(self):
+        s = gen_study1(200, np.random.default_rng(12))
+        res = fit_adaptive(s, FitConfig(seed=3, max_iterations=1))
+        assert not res.converged
+        assert res.iterations == 1
+        assert res.diagnostics["frozen_at"] is None
+        # the reported gap is one more update through the public operations
+        logs = [log_density(eval_on_grid(c, res.grid)) for c in res.components]
+        smoothed = np.column_stack(
+            [
+                nonlinear_smooth(logs[j], float(res.bandwidths[j]), s.xs)
+                for j in range(2)
+            ]
+        )
+        gap = np.max(np.abs(posterior_weights(s, smoothed) - res.weights))
+        assert res.fixed_point_gap == pytest.approx(gap, rel=1e-9, abs=1e-12)
+
+    def test_freeze_on_last_budgeted_pass_gets_one_frozen_pass(self):
+        s = gen_study1(200, np.random.default_rng(13))
+        full = fit_adaptive(s, FitConfig(seed=4))
+        frozen_at = full.diagnostics["frozen_at"]
+        assert full.converged and frozen_at is not None
+        res = fit_adaptive(s, FitConfig(seed=4, max_iterations=frozen_at))
+        assert res.diagnostics["frozen_at"] == frozen_at
+        assert res.iterations == frozen_at + 1
+        assert np.array_equal(res.loglik_trace, full.loglik_trace[: frozen_at + 1])

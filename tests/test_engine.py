@@ -125,6 +125,8 @@ class TestFitFixedBandwidth:
         res = fit_fixed_bandwidth(s, [1.0, 1.0], FitConfig(seed=0))
         # normal data at this bandwidth leave no uncovered stretch
         assert res.diagnostics["denseness"] == [True, True]
+        assert list(res.diagnostics) == ["degenerate_rows", "denseness"]
+        assert res.bandwidth_trace is None
         tiny = fit_fixed_bandwidth(s, [0.02, 0.02], FitConfig(seed=0))
         assert tiny.diagnostics["denseness"] == [False, False]
 
@@ -189,6 +191,20 @@ class TestFitFixedBandwidth:
         W0[3] = 0.0  # nothing covers the isolated point
         with pytest.raises(RuntimeError, match="too small for the data spacing"):
             fit_fixed_bandwidth(s, [0.5, 0.5], FitConfig(init_weights=W0))
+
+    def test_nan_init_weights_rejected(self):
+        s = two_component_sample(n=10)
+        W0 = np.full((10, 2), 0.5)
+        W0[4] = np.nan
+        with pytest.raises(ValueError, match="init_weights must lie in"):
+            fit_fixed_bandwidth(s, [0.5, 0.5], FitConfig(init_weights=W0))
+
+    def test_budget_exhausted_is_not_converged(self):
+        s = gen_study1(200, np.random.default_rng(77))
+        res = fit_fixed_bandwidth(s, [1.0, 1.0], FitConfig(seed=0, max_iterations=2))
+        assert not res.converged
+        assert res.iterations == 2
+        assert res.fixed_point_gap > 0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

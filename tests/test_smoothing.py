@@ -29,6 +29,8 @@ class TestMixtureSample:
     def test_rejects_out_of_range_alpha(self):
         with pytest.raises(ValueError, match="lie in"):
             MixtureSample(np.array([0.0]), np.array([[1.2, -0.2]]))
+        with pytest.raises(ValueError, match="lie in"):
+            MixtureSample(np.array([0.0]), np.array([[0.2, np.nan, np.nan]]))
 
     def test_rejects_empty_column(self):
         with pytest.raises(ValueError, match="column 1"):
@@ -53,6 +55,8 @@ class TestWeightedKernelDensity:
     def test_rejects_weight_above_one(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             WeightedKernelDensity(np.array([0.0]), np.array([1.5]), 1.0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            WeightedKernelDensity(np.array([0.0, 1.0]), np.array([1.0, np.nan]), 1.0)
 
     def test_grid_mass_is_one(self):
         rng = np.random.default_rng(42)
