@@ -29,8 +29,8 @@ def ingest_csv(path: str | Path, expected_components: int | None = None) -> Mixt
     """Read observations with explicit mixing proportions.
 
     The header must be ``x,alpha_1,...,alpha_M``; every alpha row must sum
-    to 1 within 1e-6 (and is renormalized exactly on ingest). Malformed
-    rows are reported with their line number.
+    to 1 within 1e-6 (and is renormalized exactly on ingest), and every x
+    must be finite. Malformed rows are reported with their line number.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -63,6 +63,8 @@ def ingest_csv(path: str | Path, expected_components: int | None = None) -> Mixt
                 values = [float(c) for c in row]
             except ValueError:
                 raise ValueError(f"{path}:{line}: non-numeric field in {row}")
+            if not np.isfinite(values[0]):
+                raise ValueError(f"{path}:{line}: x must be finite, got {row[0].strip()}")
             a = np.array(values[1:])
             if not np.all((a >= 0) & (a <= 1 + ROW_SUM_INGEST_TOL)):
                 raise ValueError(

@@ -182,8 +182,9 @@ def run_fit(
     last budgeted pass still gets one frozen pass.
     """
 
-    def discretize(hs: np.ndarray, grid: Grid | None = None):
-        # operators for hs; the grid is rebuilt only when a window leaves it
+    def discretize(hs: np.ndarray, grid: Grid | None = None, discs=()):
+        # operators for hs; the grid is rebuilt only when a window leaves it,
+        # and an operator is rebuilt only when its bandwidth or grid changed
         reach = kernel.half_width * hs.max()
         lo, hi = float(sample.xs.min()) - reach, float(sample.xs.max()) + reach
         if grid is None or not grid.covers(lo, hi):
@@ -195,7 +196,11 @@ def run_fit(
                 pad_fraction=config.pad_fraction,
                 span=config.grid_range,
             )
-        return grid, [DiscretizedKernel(kernel, sample.xs, h, grid) for h in hs]
+        built = {d.bandwidth: d for d in discs if d.grid == grid}
+        for h in hs:
+            if h not in built:
+                built[h] = DiscretizedKernel(kernel, sample.xs, h, grid)
+        return grid, [built[h] for h in hs]
 
     hs = np.array(bandwidths, dtype=float)
     grid, discs = discretize(hs)
@@ -237,7 +242,7 @@ def run_fit(
                 freeze_run = 0
             if np.any(new_hs != hs):
                 hs = new_hs
-                grid, discs = discretize(hs, grid)
+                grid, discs = discretize(hs, grid, discs)
             if freeze_run >= _FREEZE_RUNS:
                 frozen_at = len(trace)
     if not converged:

@@ -46,11 +46,9 @@ class Kernel:
 
 
 def _quartic(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = np.abs(t) <= 1.0
-    u = t[inside]
-    out[inside] = 0.9375 * (1.0 - u * u) ** 2
-    return out
+    # |t| >= 1 (and NaN) clamp to 1, where the polynomial is exactly 0
+    u = np.fmin(np.abs(t), 1.0)
+    return 0.9375 * (1.0 - u * u) ** 2
 
 
 #: The quartic (biweight) kernel, (15/16)(1 - t^2)^2 on [-1, 1].

@@ -4,6 +4,10 @@
 # The smoothing operator maps a density f to exp(int K_h(u-x) log f(u) du).
 # With the conventions 0*log 0 = 0 and exp(-inf) = 0, the result is exactly 0
 # wherever the kernel window overlaps a zero of f.
+#
+# The discretized kernel stores each observation's window only: a start node
+# and a fixed number of kernel values, so memory and every apply are
+# O(n * w) for a window of w grid nodes, never O(n * grid.count).
 
 from __future__ import annotations
 
@@ -81,6 +85,13 @@ class DiscretizedKernel:
     the update an exact ascent step on the discretized objective, so the
     likelihood trace is monotone up to float rounding rather than up to
     quadrature error.
+
+    The rows are stored as a band. Row i holds the kernel values at the
+    ``width`` consecutive grid nodes from ``start[i]``; every node outside
+    that window has kernel value exactly 0. The width is ceil(2 L h / dx)
+    nodes plus one node of margin on each side, so that rounding at the
+    window ends never drops a nonzero node, clipped to the grid. Memory and
+    each apply are O(n * width) rather than O(n * grid.count).
     """
 
     def __init__(self, kernel: Kernel, centers: np.ndarray, bandwidth: float, grid: Grid):
@@ -91,9 +102,13 @@ class DiscretizedKernel:
                 f"kernel windows [x +- {L:g}] extend beyond grid "
                 f"[{grid.x0:g}, {grid.x_end:g}]"
             )
-        tau = grid.trapezoid_weights
-        rows = kernel((grid.points[None, :] - centers[:, None]) / bandwidth) / bandwidth
-        mass = rows @ tau
+        width = min(int(np.ceil(2 * L / grid.dx)) + 2, grid.count)
+        first = np.floor((centers - L - grid.x0) / grid.dx)
+        start = np.clip(first, 0, grid.count - width).astype(np.intp)
+        index = start[:, None] + np.arange(width)
+        tau = grid.trapezoid_weights[index]
+        rows = kernel((grid.points[index] - centers[:, None]) / bandwidth) / bandwidth
+        mass = np.einsum("ij,ij->i", rows, tau)
         if np.any(mass <= 0):
             raise GridCoverageError(
                 f"bandwidth {bandwidth:g} is below the grid spacing {grid.dx:g}; "
@@ -102,28 +117,38 @@ class DiscretizedKernel:
         rows /= mass[:, None]
         self.grid = grid
         self.bandwidth = float(bandwidth)
+        self.start = start
         self.rows = rows
-        self._smoother = rows * tau[None, :]  # rows sum to 1
+        self._smoother = rows * tau  # rows sum to 1
+        self._index = index
 
     def density_on_grid(self, weights: np.ndarray) -> np.ndarray:
         """Values of the weighted kernel density at the grid nodes."""
         total = weights.sum()
         if not total > 0:
             raise ValueError("weights must have positive sum")
-        return (weights @ self.rows) / total
+        scattered = np.bincount(
+            self._index.ravel(),
+            weights=(weights[:, None] * self.rows).ravel(),
+            minlength=self.grid.count,
+        )
+        return scattered / total
 
     def smooth_log(self, log_values: np.ndarray) -> np.ndarray:
         """exp of the trapezoid integral of K_h(u - x_i) log f(u) per center.
 
-        -inf entries in ``log_values`` mark zeros of f; any window touching
-        one yields exactly 0.
+        -inf entries in ``log_values`` mark zeros of f; any window giving
+        positive weight to one yields exactly 0.
         """
         finite = np.isfinite(log_values)
-        if finite.all():
-            return np.exp(self._smoother @ log_values)
-        vals = np.exp(self._smoother @ np.where(finite, log_values, 0.0))
-        touched = (self._smoother[:, ~finite] > 0).any(axis=1)
-        vals[touched] = 0.0
+        logs = np.where(finite, log_values, 0.0)[self._index]
+        vals = np.exp(np.einsum("ij,ij->i", self._smoother, logs))
+        # only rows whose band holds a zero of f need the exact test
+        zeros_before = np.concatenate(([0], np.cumsum(~finite)))
+        end = self.start + self.rows.shape[1]
+        near = np.flatnonzero(zeros_before[end] > zeros_before[self.start])
+        hit = (self._smoother[near] > 0) & ~finite[self._index[near]]
+        vals[near[hit.any(axis=1)]] = 0.0
         return vals
 
 

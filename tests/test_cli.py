@@ -58,6 +58,13 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="mal.csv:3"):
             ingest_csv(p)
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_nonfinite_x_names_line(self, tmp_path, x):
+        p = tmp_path / "nonfinite.csv"
+        write_lines(p, ["x,alpha_1,alpha_2", "0.5,0.3,0.7", f"{x},0.5,0.5"])
+        with pytest.raises(ValueError, match=f"nonfinite.csv:3: x must be finite, got {x}"):
+            ingest_csv(p)
+
     def test_wrong_field_count_names_line(self, tmp_path):
         p = tmp_path / "short.csv"
         write_lines(p, ["x,alpha_1,alpha_2", "0.5,0.3"])
