@@ -1,89 +1,33 @@
 """Maximum smoothed likelihood estimation of mixture component densities
-when each observation carries its own known mixing proportions."""
+when each observation carries its own known mixing proportions.
 
-from .bandwidth import (
-    DegenerateScaleError,
-    SubsetSelection,
-    fit_adaptive,
-    plugin_bandwidth,
-    select_component_subsets,
-)
+The package root holds the API the README documents; every other name is
+importable from its submodule.
+"""
+
+from .bandwidth import DegenerateScaleError, fit_adaptive, plugin_bandwidth
 from .data import MixtureSample
-from .engine import (
-    ComponentVanishedError,
-    FitConfig,
-    FitResult,
-    fit_fixed_bandwidth,
-    mm_update,
-    posterior_weights,
-)
-from .kernels import (
-    QUARTIC,
-    Grid,
-    GridCoverageError,
-    GridDensity,
-    Kernel,
-    build_grid,
-    trapezoid,
-)
+from .engine import ComponentVanishedError, FitConfig, FitResult, fit_fixed_bandwidth
+from .kernels import GridCoverageError
 from .metrics import DensityPair, hellinger_distance, ise, l1_distance
-from .simulation import (
-    STUDIES,
-    ReplicationReport,
-    StudyDesign,
-    gen_study1,
-    gen_study2,
-    gen_study3,
-    run_replications,
-    simple_estimator,
-)
-from .smoothing import (
-    WeightedKernelDensity,
-    eval_on_grid,
-    log_density,
-    mixture_density_at_sample,
-    nonlinear_smooth,
-    smoothed_loglik,
-)
+from .simulation import STUDIES, run_replications
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QUARTIC",
     "ComponentVanishedError",
     "DegenerateScaleError",
     "DensityPair",
     "FitConfig",
     "FitResult",
-    "Grid",
     "GridCoverageError",
-    "GridDensity",
-    "Kernel",
     "MixtureSample",
-    "ReplicationReport",
     "STUDIES",
-    "StudyDesign",
-    "SubsetSelection",
-    "WeightedKernelDensity",
-    "build_grid",
-    "eval_on_grid",
     "fit_adaptive",
     "fit_fixed_bandwidth",
-    "gen_study1",
-    "gen_study2",
-    "gen_study3",
     "hellinger_distance",
     "ise",
     "l1_distance",
-    "log_density",
-    "mixture_density_at_sample",
-    "mm_update",
-    "nonlinear_smooth",
     "plugin_bandwidth",
-    "posterior_weights",
     "run_replications",
-    "select_component_subsets",
-    "simple_estimator",
-    "smoothed_loglik",
-    "trapezoid",
 ]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import MixtureSample
 from .engine import FitConfig, FitResult, run_fit
-from .kernels import QUARTIC, Kernel
+from .kernels import QUARTIC
 
 __all__ = [
     "DegenerateScaleError",
@@ -23,6 +23,8 @@ __all__ = [
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _SQRT_PI = np.sqrt(np.pi)
+#: Linear-binning nodes for the plug-in selector's functional estimates.
+_BIN_COUNT = 401
 
 
 class DegenerateScaleError(ValueError):
@@ -63,16 +65,12 @@ def _binned_psi(counts: np.ndarray, delta: float, g: float, r: int) -> float:
     return total / (n * n * g ** (r + 1))
 
 
-def plugin_bandwidth(
-    xs: np.ndarray,
-    kernel: Kernel = QUARTIC,
-    bin_count: int = 401,
-) -> float:
+def plugin_bandwidth(xs: np.ndarray) -> float:
     """Two-stage direct plug-in bandwidth for a kernel density estimate.
 
     Normal-scale start for the eighth-derivative functional, two stages of
     Gaussian functional estimation on linearly binned, standardized data,
-    then the AMISE formula with the target kernel's canonical factor. The
+    then the AMISE formula with the quartic kernel's canonical factor. The
     result is exactly scale-equivariant and translation-invariant.
     """
     xs = np.asarray(xs, dtype=float)
@@ -88,8 +86,8 @@ def plugin_bandwidth(
         )
     z = (xs - xs.mean()) / scale
     lo, hi = float(z.min()), float(z.max())
-    counts = _linear_bin(z, lo, hi, bin_count)
-    delta = (hi - lo) / (bin_count - 1)
+    counts = _linear_bin(z, lo, hi, _BIN_COUNT)
+    delta = (hi - lo) / (_BIN_COUNT - 1)
 
     psi8 = 105.0 / (32.0 * _SQRT_PI)  # normal-scale, unit variance
     g6 = (30.0 / (_SQRT_2PI * psi8 * n)) ** (1.0 / 9.0)
@@ -100,7 +98,7 @@ def plugin_bandwidth(
     psi4 = _binned_psi(counts, delta, g4, 4)
     if psi4 <= 0:
         psi4 = 3.0 / (8.0 * _SQRT_PI)
-    return scale * kernel.canonical_delta * (psi4 * n) ** (-0.2)
+    return scale * QUARTIC.canonical_delta * (psi4 * n) ** (-0.2)
 
 
 @dataclass(frozen=True)
@@ -141,11 +139,7 @@ def select_component_subsets(sample: MixtureSample, W: np.ndarray) -> SubsetSele
     return SubsetSelection(target, members, thresholds)
 
 
-def fit_adaptive(
-    sample: MixtureSample,
-    config: FitConfig | None = None,
-    kernel: Kernel = QUARTIC,
-) -> FitResult:
+def fit_adaptive(sample: MixtureSample, config: FitConfig | None = None) -> FitResult:
     """Fit components while re-selecting bandwidths from the evolving weights.
 
     Each pass computes posterior weights, re-selects each bandwidth by the
@@ -159,24 +153,18 @@ def fit_adaptive(
     only guaranteed monotone over the frozen tail, because changing the
     bandwidths changes the objective.
     """
-    h0 = plugin_bandwidth(sample.xs, kernel)
+    h0 = plugin_bandwidth(sample.xs)
     # reject effectively empty components before any fitting
     select_component_subsets(sample, np.ones_like(sample.alphas))
 
     def reselect(W: np.ndarray) -> tuple[np.ndarray, dict]:
         selection = select_component_subsets(sample, W)
-        hs = np.array(
-            [plugin_bandwidth(sample.xs[m], kernel) for m in selection.members]
-        )
+        hs = np.array([plugin_bandwidth(sample.xs[m]) for m in selection.members])
         return hs, {
             "target_counts": selection.target_counts.tolist(),
             "subset_sizes": [len(m) for m in selection.members],
         }
 
     return run_fit(
-        sample,
-        np.full(sample.n_components, h0),
-        config or FitConfig(),
-        kernel,
-        reselect,
+        sample, np.full(sample.n_components, h0), config or FitConfig(), reselect
     )

@@ -17,8 +17,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import MixtureSample
-from .kernels import QUARTIC, Grid, Kernel, build_grid
-from .smoothing import DiscretizedKernel, WeightedKernelDensity, floored_log
+from .kernels import QUARTIC, Grid, build_grid
+from .smoothing import (
+    DiscretizedKernel,
+    WeightedKernelDensity,
+    floored_log,
+    mixture_loglik,
+)
 
 __all__ = [
     "ComponentVanishedError",
@@ -108,10 +113,7 @@ def posterior_weights(sample: MixtureSample, smoothed: np.ndarray) -> np.ndarray
 
 
 def mm_update(
-    sample: MixtureSample,
-    W: np.ndarray,
-    bandwidths: Sequence[float],
-    kernel: Kernel = QUARTIC,
+    sample: MixtureSample, W: np.ndarray, bandwidths: Sequence[float]
 ) -> list[WeightedKernelDensity]:
     """One density update: component j becomes the W[:, j]-weighted KDE."""
     W = np.asarray(W, dtype=float)
@@ -119,9 +121,7 @@ def mm_update(
     for j, h in enumerate(bandwidths):
         if not W[:, j].sum() > 0:
             raise ComponentVanishedError(j)
-        components.append(
-            WeightedKernelDensity(sample.xs, W[:, j], float(h), kernel)
-        )
+        components.append(WeightedKernelDensity(sample.xs, W[:, j], float(h)))
     return components
 
 
@@ -157,19 +157,10 @@ def _smoothed_matrix(
     return out
 
 
-def _loglik(sample: MixtureSample, smoothed: np.ndarray) -> tuple[float, np.ndarray]:
-    p = (sample.alphas * smoothed).sum(axis=1)
-    dead = np.flatnonzero(p <= 0)
-    if dead.size:
-        return float("-inf"), dead
-    return float(np.log(p).sum()), dead
-
-
 def run_fit(
     sample: MixtureSample,
     bandwidths: Sequence[float],
     config: FitConfig,
-    kernel: Kernel = QUARTIC,
     reselect: Callable[[np.ndarray], tuple[np.ndarray, dict]] | None = None,
 ) -> FitResult:
     """The smoothed-likelihood iteration behind every fit (package-internal).
@@ -185,13 +176,12 @@ def run_fit(
     def discretize(hs: np.ndarray, grid: Grid | None = None, discs=()):
         # operators for hs; the grid is rebuilt only when a window leaves it,
         # and an operator is rebuilt only when its bandwidth or grid changed
-        reach = kernel.half_width * hs.max()
+        reach = QUARTIC.half_width * hs.max()
         lo, hi = float(sample.xs.min()) - reach, float(sample.xs.max()) + reach
         if grid is None or not grid.covers(lo, hi):
             grid = build_grid(
                 sample.xs,
                 float(hs.max()),
-                kernel,
                 count=config.grid_size,
                 pad_fraction=config.pad_fraction,
                 span=config.grid_range,
@@ -199,7 +189,7 @@ def run_fit(
         built = {d.bandwidth: d for d in discs if d.grid == grid}
         for h in hs:
             if h not in built:
-                built[h] = DiscretizedKernel(kernel, sample.xs, h, grid)
+                built[h] = DiscretizedKernel(QUARTIC, sample.xs, h, grid)
         return grid, [built[h] for h in hs]
 
     hs = np.array(bandwidths, dtype=float)
@@ -214,7 +204,7 @@ def run_fit(
     converged = False
     while len(trace) < config.max_iterations or len(trace) == frozen_at:
         smoothed = _smoothed_matrix(sample, W, discs)
-        ll, dead = _loglik(sample, smoothed)
+        ll, dead = mixture_loglik(sample, smoothed)
         degenerate.update(dead.tolist())
         if not trace and np.isneginf(ll):
             raise RuntimeError(
@@ -251,9 +241,9 @@ def run_fit(
     diagnostics = {"degenerate_rows": sorted(degenerate)}
     if reselect is not None:
         diagnostics.update(selection, frozen_at=frozen_at)
-    diagnostics["denseness"] = component_denseness(sample, hs, kernel)
+    diagnostics["denseness"] = component_denseness(sample, hs)
     return FitResult(
-        components=mm_update(sample, W, hs, kernel),
+        components=mm_update(sample, W, hs),
         bandwidths=hs,
         weights=W,
         loglik_trace=np.asarray(trace),
@@ -270,7 +260,6 @@ def fit_fixed_bandwidth(
     sample: MixtureSample,
     bandwidths: Sequence[float],
     config: FitConfig | None = None,
-    kernel: Kernel = QUARTIC,
 ) -> FitResult:
     """Maximize the smoothed log-likelihood at fixed bandwidths.
 
@@ -288,14 +277,10 @@ def fit_fixed_bandwidth(
         raise ValueError("need one bandwidth per component")
     if min(bandwidths) <= 0:
         raise ValueError("bandwidths must be positive")
-    return run_fit(sample, bandwidths, config or FitConfig(), kernel)
+    return run_fit(sample, bandwidths, config or FitConfig())
 
 
-def component_denseness(
-    sample: MixtureSample,
-    bandwidths: Sequence[float],
-    kernel: Kernel = QUARTIC,
-) -> list[bool]:
+def component_denseness(sample: MixtureSample, bandwidths: Sequence[float]) -> list[bool]:
     """Whether every point of the data range has an in-window observation
     with positive mixing proportion, per component.
 
@@ -312,5 +297,5 @@ def component_denseness(
         idx = np.searchsorted(carriers, span)
         left = np.abs(span - carriers[np.clip(idx - 1, 0, carriers.size - 1)])
         right = np.abs(carriers[np.clip(idx, 0, carriers.size - 1)] - span)
-        out.append(bool(np.all(np.minimum(left, right) <= kernel.half_width * h)))
+        out.append(bool(np.all(np.minimum(left, right) <= QUARTIC.half_width * h)))
     return out

@@ -126,7 +126,6 @@ def trapezoid(g: GridDensity) -> float:
 def build_grid(
     xs: np.ndarray,
     h_max: float,
-    kernel: Kernel = QUARTIC,
     count: int = 1024,
     pad_fraction: float = 0.1,
     span: tuple[float, float] | None = None,
@@ -139,7 +138,7 @@ def build_grid(
     GridCoverageError.
     """
     xs = np.asarray(xs, dtype=float)
-    margin = kernel.half_width * float(h_max)
+    margin = QUARTIC.half_width * float(h_max)
     need_lo = float(xs.min()) - margin
     need_hi = float(xs.max()) + margin
     if span is None:

@@ -15,7 +15,7 @@ from scipy import stats
 from .bandwidth import fit_adaptive, plugin_bandwidth
 from .data import MixtureSample
 from .engine import FitConfig
-from .kernels import QUARTIC, Grid, GridDensity, Kernel
+from .kernels import QUARTIC, Grid, GridDensity
 from .metrics import DensityPair, ise, l1_distance
 from .smoothing import WeightedKernelDensity, eval_on_grid
 
@@ -108,10 +108,14 @@ def _study3_truth2(x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class StudyDesign:
     """One simulation setting: generator, true component pdfs, and the
-    truth-support window (means +- 4 sd) used for error integration."""
+    truth-support window (means +- 4 sd) used for error integration.
+
+    ``generate(n, rng)`` draws one sample of size n; a fixed design ignores n.
+    """
 
     study_id: str
     default_n: int
+    generate: Callable[[int, np.random.Generator], MixtureSample]
     truths: tuple[Callable[[np.ndarray], np.ndarray], ...]
     eval_range: tuple[float, float]
     fixed_n: bool = False
@@ -124,23 +128,21 @@ class StudyDesign:
             raise ValueError(
                 f"study {self.study_id} has a fixed design of n={self.default_n}"
             )
-        if self.study_id == "1":
-            return gen_study1(n, rng)
-        if self.study_id == "2":
-            return gen_study2(n, rng)
-        return gen_study3(rng)
+        return self.generate(n, rng)
 
 
 STUDIES: dict[str, StudyDesign] = {
     "1": StudyDesign(
         study_id="1",
         default_n=400,
+        generate=gen_study1,
         truths=(lambda x: stats.norm.pdf(x), lambda x: stats.norm.pdf(x)),
         eval_range=(-4.0, 4.0),
     ),
     "2": StudyDesign(
         study_id="2",
         default_n=400,
+        generate=gen_study2,
         truths=(
             lambda x: stats.norm.pdf(x, 10, 5),
             lambda x: stats.t.pdf(x, 4, loc=20, scale=10),
@@ -150,6 +152,7 @@ STUDIES: dict[str, StudyDesign] = {
     "3": StudyDesign(
         study_id="3",
         default_n=STUDY3_N1 + STUDY3_N2,
+        generate=lambda n, rng: gen_study3(rng),
         truths=(
             lambda x: stats.norm.pdf(x, 10.77, np.sqrt(1.19)),
             _study3_truth2,
@@ -167,7 +170,6 @@ def simple_estimator(
     pure_xs: np.ndarray,
     grid: Grid,
     proportions: tuple[float, float] = STUDY3_PROPS,
-    kernel: Kernel = QUARTIC,
 ) -> tuple[GridDensity, GridDensity]:
     """Linear-unmixing baseline for a two-block design.
 
@@ -181,17 +183,12 @@ def simple_estimator(
         raise ValueError("both blocks need at least 2 observations")
     p1, p2 = proportions
     f2 = eval_on_grid(
-        WeightedKernelDensity(
-            pure_xs, np.ones_like(pure_xs), plugin_bandwidth(pure_xs, kernel), kernel
-        ),
+        WeightedKernelDensity(pure_xs, np.ones_like(pure_xs), plugin_bandwidth(pure_xs)),
         grid,
     )
     r = eval_on_grid(
         WeightedKernelDensity(
-            mixture_xs,
-            np.ones_like(mixture_xs),
-            plugin_bandwidth(mixture_xs, kernel),
-            kernel,
+            mixture_xs, np.ones_like(mixture_xs), plugin_bandwidth(mixture_xs)
         ),
         grid,
     )
@@ -283,7 +280,6 @@ def run_replications(
     estimators: Sequence[str] = ("proposed",),
     n: int | None = None,
     master_seed: int = 0,
-    kernel: Kernel = QUARTIC,
 ) -> ReplicationReport:
     """Run the study design R times and aggregate per-component errors.
 
@@ -306,7 +302,7 @@ def run_replications(
         )
     n_eff = design.default_n if n is None else int(n)
     M = len(design.truths)
-    L = kernel.half_width
+    L = QUARTIC.half_width
 
     ise_acc = {name: np.full((replications, M), np.nan) for name in names}
     l1_acc = {name: np.full((replications, M), np.nan) for name in names}
@@ -326,7 +322,7 @@ def run_replications(
         if "proposed" in names:
             try:
                 rep_config = dataclasses.replace(config, seed=fit_seed)
-                fitted = fit_adaptive(sample, rep_config, kernel)
+                fitted = fit_adaptive(sample, rep_config)
                 h_needed = max(h_needed, float(fitted.bandwidths.max()))
             except Exception as exc:  # recorded, not fatal
                 failures.append(_failure(r, "proposed", exc))
@@ -337,8 +333,8 @@ def run_replications(
             try:
                 h_needed = max(
                     h_needed,
-                    plugin_bandwidth(simple_blocks[0], kernel),
-                    plugin_bandwidth(simple_blocks[1], kernel),
+                    plugin_bandwidth(simple_blocks[0]),
+                    plugin_bandwidth(simple_blocks[1]),
                 )
             except Exception as exc:
                 failures.append(_failure(r, "simple", exc))
@@ -358,11 +354,7 @@ def run_replications(
         if simple_blocks is not None:
             try:
                 f1, f2 = simple_estimator(
-                    simple_blocks[0],
-                    simple_blocks[1],
-                    grid,
-                    design.mixture_props,
-                    kernel,
+                    simple_blocks[0], simple_blocks[1], grid, design.mixture_props
                 )
             except Exception as exc:
                 failures.append(_failure(r, "simple", exc))

@@ -1,5 +1,6 @@
 # Weighted kernel densities, the geometric-mean smoothing operator, and the
-# smoothed log-likelihood of a mixture sample.
+# smoothed log-likelihood of a mixture sample, computed in one place
+# (mixture_loglik) for both the fitting loop and smoothed_loglik.
 #
 # The smoothing operator maps a density f to exp(int K_h(u-x) log f(u) du).
 # With the conventions 0*log 0 = 0 and exp(-inf) = 0, the result is exactly 0
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import MixtureSample
-from .kernels import QUARTIC, Grid, GridDensity, GridCoverageError, Kernel
+from .kernels import QUARTIC, Grid, GridDensity, GridCoverageError, Kernel, build_grid
 
 __all__ = [
     "WeightedKernelDensity",
@@ -25,7 +26,7 @@ __all__ = [
     "eval_on_grid",
     "log_density",
     "nonlinear_smooth",
-    "mixture_density_at_sample",
+    "mixture_loglik",
     "smoothed_loglik",
 ]
 
@@ -39,14 +40,13 @@ class WeightedKernelDensity:
     """A density sum_i w_i K_h(x - x_i) / sum_i w_i.
 
     This is the closed family the fitting iteration lives in: nonnegative
-    weights in [0, 1] attached to the sample locations, one bandwidth, one
-    kernel.
+    weights in [0, 1] attached to the sample locations, one bandwidth, and
+    the quartic kernel.
     """
 
     xs: np.ndarray
     weights: np.ndarray
     bandwidth: float
-    kernel: Kernel = QUARTIC
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -66,13 +66,8 @@ class WeightedKernelDensity:
         """Pointwise analytic values (no grid involved)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         t = (x[:, None] - self.xs[None, :]) / self.bandwidth
-        vals = self.kernel(t) @ self.weights / (self.bandwidth * self.weights.sum())
+        vals = QUARTIC(t) @ self.weights / (self.bandwidth * self.weights.sum())
         return vals
-
-    def support(self) -> tuple[float, float]:
-        active = self.xs[self.weights > 0]
-        L = self.kernel.half_width * self.bandwidth
-        return float(active.min()) - L, float(active.max()) + L
 
 
 class DiscretizedKernel:
@@ -155,7 +150,7 @@ class DiscretizedKernel:
 def eval_on_grid(f: WeightedKernelDensity, grid: Grid) -> GridDensity:
     """Tabulate f on the grid; the trapezoid mass of the result is exactly 1."""
     active = f.weights > 0
-    disc = DiscretizedKernel(f.kernel, f.xs[active], f.bandwidth, grid)
+    disc = DiscretizedKernel(QUARTIC, f.xs[active], f.bandwidth, grid)
     return GridDensity(grid, disc.density_on_grid(f.weights[active]))
 
 
@@ -171,10 +166,7 @@ def log_density(g: GridDensity, floor: float = ZERO_FLOOR) -> GridDensity:
 
 
 def nonlinear_smooth(
-    log_f: GridDensity,
-    bandwidth: float,
-    points: np.ndarray,
-    kernel: Kernel = QUARTIC,
+    log_f: GridDensity, bandwidth: float, points: np.ndarray
 ) -> np.ndarray:
     """Smoothed density exp(int K_h(u - x) log f(u) du) at the given points.
 
@@ -183,27 +175,31 @@ def nonlinear_smooth(
     configuration bug, not something to silently truncate.
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    disc = DiscretizedKernel(kernel, points, bandwidth, log_f.grid)
+    disc = DiscretizedKernel(QUARTIC, points, bandwidth, log_f.grid)
     return disc.smooth_log(log_f.values)
 
 
-def mixture_density_at_sample(sample: MixtureSample, smoothed: np.ndarray) -> np.ndarray:
-    """Per-observation mixture values sum_j alpha_ij * smoothed[i, j]."""
+def mixture_loglik(
+    sample: MixtureSample, smoothed: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The smoothed log-likelihood sum_i log sum_j alpha_ij * smoothed[i, j].
+
+    ``smoothed`` holds the smoothed component densities at the sample points,
+    one column per component. Returns the likelihood and the indices of the
+    rows whose mixture density is zero; any such row makes the likelihood
+    -inf, which is a value, not an error.
+    """
     smoothed = np.asarray(smoothed, dtype=float)
     if smoothed.shape != sample.alphas.shape:
         raise ValueError(
             f"smoothed matrix shape {smoothed.shape} does not match "
             f"alphas shape {sample.alphas.shape}"
         )
-    return (sample.alphas * smoothed).sum(axis=1)
-
-
-def _component_on_grid(component, grid: Grid) -> np.ndarray:
-    if isinstance(component, GridDensity):
-        if component.grid != grid:
-            raise ValueError("all components must share one grid")
-        return component.values
-    return eval_on_grid(component, grid).values
+    p = (sample.alphas * smoothed).sum(axis=1)
+    dead = np.flatnonzero(p <= 0)
+    if dead.size:
+        return float("-inf"), dead
+    return float(np.log(p).sum()), dead
 
 
 def smoothed_loglik(
@@ -211,16 +207,16 @@ def smoothed_loglik(
     components: Sequence,
     bandwidths: Sequence[float] | None = None,
     grid: Grid | None = None,
-    kernel: Kernel = QUARTIC,
-    grid_size: int = 1024,
 ) -> float:
     """Smoothed log-likelihood of the sample under the given components.
 
     Components are WeightedKernelDensity instances (their own bandwidths are
     the smoothing bandwidths unless ``bandwidths`` overrides them) or
     GridDensity tabulations on a common grid (then ``bandwidths`` is
-    required). Returns -inf when some observation has zero smoothed mixture
-    density; that is a value, not an error.
+    required). A WeightedKernelDensity is tabulated over all of its points,
+    as the fitting loop does, so a fit's components on the fit's grid give
+    its last likelihood exactly. Returns -inf when some observation has zero
+    smoothed mixture density; that is a value, not an error.
     """
     components = list(components)
     if bandwidths is None:
@@ -232,21 +228,17 @@ def smoothed_loglik(
         raise ValueError("need one component and one bandwidth per alpha column")
     if grid is None:
         grids = {c.grid for c in components if isinstance(c, GridDensity)}
-        if len(grids) > 1:
-            raise ValueError("all components must share one grid")
-        if grids:
-            grid = grids.pop()
-        else:
-            from .kernels import build_grid
-
-            grid = build_grid(sample.xs, max(bandwidths), kernel, count=grid_size)
+        grid = grids.pop() if grids else build_grid(sample.xs, max(bandwidths))
 
     smoothed = np.empty((sample.n, len(components)))
     for j, (component, h) in enumerate(zip(components, bandwidths)):
-        values = _component_on_grid(component, grid)
-        logf = log_density(GridDensity(grid, values))
-        smoothed[:, j] = nonlinear_smooth(logf, float(h), sample.xs, kernel)
-    p = mixture_density_at_sample(sample, smoothed)
-    if np.any(p <= 0):
-        return float("-inf")
-    return float(np.log(p).sum())
+        if isinstance(component, GridDensity):
+            if component.grid != grid:
+                raise ValueError("all components must share one grid")
+            values = component.values
+        else:
+            disc = DiscretizedKernel(QUARTIC, component.xs, component.bandwidth, grid)
+            values = disc.density_on_grid(component.weights)
+        disc = DiscretizedKernel(QUARTIC, sample.xs, float(h), grid)
+        smoothed[:, j] = disc.smooth_log(floored_log(values))
+    return mixture_loglik(sample, smoothed)[0]

@@ -8,6 +8,7 @@ from mslmix.engine import FitConfig
 from mslmix.kernels import Grid, GridDensity, trapezoid
 from mslmix.simulation import (
     STUDIES,
+    StudyDesign,
     gen_study1,
     gen_study2,
     gen_study3,
@@ -60,6 +61,32 @@ class TestGenerators:
     def test_study3_fixed_n(self):
         with pytest.raises(ValueError, match="fixed design"):
             STUDIES["3"].sample(np.random.default_rng(0), n=100)
+
+    def test_design_samples_from_its_own_generator(self):
+        drawn = []
+
+        def generate(n, rng):
+            drawn.append(n)
+            return gen_study1(n, rng)
+
+        design = StudyDesign("4", 100, generate, STUDIES["1"].truths, (-4.0, 4.0))
+        s = design.sample(np.random.default_rng(0), 50)
+        assert s.n == 50
+        assert drawn == [50]
+
+    @pytest.mark.parametrize(
+        "study_id, draw",
+        [
+            ("1", lambda rng: gen_study1(400, rng)),
+            ("2", lambda rng: gen_study2(400, rng)),
+            ("3", gen_study3),
+        ],
+    )
+    def test_studies_draw_from_their_generators(self, study_id, draw):
+        got = STUDIES[study_id].sample(np.random.default_rng(11))
+        want = draw(np.random.default_rng(11))
+        assert np.array_equal(got.xs, want.xs)
+        assert np.array_equal(got.alphas, want.alphas)
 
     @pytest.mark.parametrize("study_id", ["1", "2", "3"])
     def test_truths_integrate_to_one(self, study_id):
@@ -184,11 +211,11 @@ class TestRunReplications:
         calls = {"count": 0}
         real = sim.fit_adaptive
 
-        def flaky(sample, config, kernel):
+        def flaky(sample, config):
             calls["count"] += 1
             if calls["count"] == 2:
                 raise RuntimeError("synthetic failure")
-            return real(sample, config, kernel)
+            return real(sample, config)
 
         monkeypatch.setattr(sim, "fit_adaptive", flaky)
         report = run_replications(

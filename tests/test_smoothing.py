@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
+from mslmix.bandwidth import fit_adaptive
 from mslmix.data import MixtureSample
+from mslmix.engine import FitConfig, fit_fixed_bandwidth
 from mslmix.kernels import QUARTIC, Grid, GridCoverageError, GridDensity, trapezoid
+from mslmix.simulation import STUDIES
 from mslmix.smoothing import (
     DiscretizedKernel,
     WeightedKernelDensity,
     eval_on_grid,
     log_density,
-    mixture_density_at_sample,
+    mixture_loglik,
     nonlinear_smooth,
     smoothed_loglik,
 )
@@ -177,21 +180,37 @@ class TestNonlinearSmooth:
 class TestMixtureDensity:
     def test_single_component_passthrough(self):
         s = MixtureSample(np.array([0.0, 1.0]), np.ones((2, 1)))
-        smoothed = np.array([[0.3], [0.8]])
-        assert np.allclose(mixture_density_at_sample(s, smoothed), [0.3, 0.8])
+        ll, dead = mixture_loglik(s, np.array([[0.3], [0.8]]))
+        assert ll == pytest.approx(np.log(0.3) + np.log(0.8), abs=1e-15)
+        assert dead.size == 0
 
     def test_degenerate_proportion_row(self):
         s = MixtureSample(
             np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.5, 0.5]])
         )
         # second entry of row 0 must not contribute even if huge
-        got = mixture_density_at_sample(s, np.array([[0.4, 9.9], [0.2, 0.2]]))
-        assert got[0] == 0.4
+        ll, _ = mixture_loglik(s, np.array([[0.4, 9.9], [0.2, 0.2]]))
+        assert ll == pytest.approx(np.log(0.4) + np.log(0.2), abs=1e-15)
 
     def test_direct_substitution(self):
         s = MixtureSample(np.array([0.0]), np.array([[0.5, 0.5]]))
-        got = mixture_density_at_sample(s, np.array([[0.2, 0.4]]))[0]
-        assert got == pytest.approx(0.3, abs=1e-15)
+        ll, _ = mixture_loglik(s, np.array([[0.2, 0.4]]))
+        assert ll == pytest.approx(np.log(0.3), abs=1e-15)
+
+    def test_zero_density_rows_are_returned(self):
+        s = MixtureSample(
+            np.array([0.0, 1.0, 2.0]),
+            np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]),
+        )
+        # rows 0 and 2 put all their proportion on a zero smoothed value
+        ll, dead = mixture_loglik(s, np.array([[0.0, 5.0], [0.2, 0.4], [0.3, 0.0]]))
+        assert ll == -np.inf
+        assert dead.tolist() == [0, 2]
+
+    def test_shape_mismatch_rejected(self):
+        s = MixtureSample(np.array([0.0]), np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="does not match"):
+            mixture_loglik(s, np.array([[0.2]]))
 
 
 class TestSmoothedLoglik:
@@ -248,6 +267,21 @@ class TestSmoothedLoglik:
 
         got = smoothed_loglik(s, comps, grid=grid)
         assert got == pytest.approx(oracle, rel=1e-4)
+
+    @pytest.mark.parametrize("study_id", ["1", "3"])
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+    def test_equals_last_trace_entry_of_converged_fit(self, study_id, mode):
+        # the fitting loop and smoothed_loglik share one likelihood path,
+        # including components with exactly zero weights (Study 3)
+        sample = STUDIES[study_id].sample(np.random.default_rng([99, int(study_id), 0]))
+        config = FitConfig(seed=500)
+        if mode == "fixed":
+            result = fit_fixed_bandwidth(sample, [0.6, 0.8], config)
+        else:
+            result = fit_adaptive(sample, config)
+        assert result.converged
+        got = smoothed_loglik(sample, result.components, grid=result.grid)
+        assert got == result.loglik_trace[-1]
 
     def test_minus_inf_is_a_value(self):
         xs = np.array([0.0, 30.0])
