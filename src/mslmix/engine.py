@@ -232,6 +232,8 @@ def run_fit(
                 freeze_run = 0
             if np.any(new_hs != hs):
                 hs = new_hs
+                # release stale operators before building their successors
+                discs = [d for d in discs if d.bandwidth in hs]
                 grid, discs = discretize(hs, grid, discs)
             if freeze_run >= _FREEZE_RUNS:
                 frozen_at = len(trace)

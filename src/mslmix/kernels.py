@@ -46,9 +46,15 @@ class Kernel:
 
 
 def _quartic(t: np.ndarray) -> np.ndarray:
-    # |t| >= 1 (and NaN) clamp to 1, where the polynomial is exactly 0
-    u = np.fmin(np.abs(t), 1.0)
-    return 0.9375 * (1.0 - u * u) ** 2
+    # |t| >= 1 (and NaN) clamp to 1, where the polynomial is exactly 0;
+    # 0.9375 * (1 - u^2)^2 is evaluated in place in the one output array
+    u = np.abs(t, out=np.empty_like(t))
+    np.fmin(u, 1.0, out=u)
+    np.multiply(u, u, out=u)
+    np.subtract(1.0, u, out=u)
+    np.multiply(u, u, out=u)
+    u *= 0.9375
+    return u
 
 
 #: The quartic (biweight) kernel, (15/16)(1 - t^2)^2 on [-1, 1].

@@ -6,9 +6,10 @@
 # With the conventions 0*log 0 = 0 and exp(-inf) = 0, the result is exactly 0
 # wherever the kernel window overlaps a zero of f.
 #
-# The discretized kernel stores each observation's window only: a start node
-# and a fixed number of kernel values, so memory and every apply are
-# O(n * w) for a window of w grid nodes, never O(n * grid.count).
+# The discretized kernel is one sparse row-stochastic matrix S per bandwidth,
+# stored as each observation's window of w grid nodes: tabulating a weighted
+# kernel density is one product with S^T and smoothing one product with S,
+# so memory and every apply are O(n * w), never O(n * grid.count).
 
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.sparse import csr_array
 
 from .data import MixtureSample
 from .kernels import QUARTIC, Grid, GridDensity, GridCoverageError, Kernel, build_grid
@@ -71,22 +74,24 @@ class WeightedKernelDensity:
 
 
 class DiscretizedKernel:
-    """Kernel rows K_h(grid - x_i), each scaled to unit trapezoid mass.
+    """The smoothing operator of one bandwidth as a sparse row-stochastic matrix.
 
-    One instance serves both directions of the fitting iteration: tabulating
-    a weighted kernel density on the grid and evaluating the smoothing
-    operator at the sample points. Sharing the same mass-normalized rows for
-    both keeps every tabulated density at exactly unit grid mass and makes
-    the update an exact ascent step on the discretized objective, so the
-    likelihood trace is monotone up to float rounding rather than up to
-    quadrature error.
+    Row i of S holds the kernel K_h(grid - x_i) times the trapezoid weights,
+    scaled to unit sum. One S serves both directions of the fitting
+    iteration, each as one sparse product: tabulating a weighted kernel
+    density on the grid, (S^T w) / (sum(w) * tau), and the smoothing
+    operator at the sample points, exp(S log f). Sharing S keeps every
+    tabulated density at exactly unit grid mass and makes the update an
+    exact ascent step on the discretized objective, so the likelihood trace
+    is monotone up to float rounding rather than up to quadrature error.
 
-    The rows are stored as a band. Row i holds the kernel values at the
-    ``width`` consecutive grid nodes from ``start[i]``; every node outside
-    that window has kernel value exactly 0. The width is ceil(2 L h / dx)
-    nodes plus one node of margin on each side, so that rounding at the
-    window ends never drops a nonzero node, clipped to the grid. Memory and
-    each apply are O(n * width) rather than O(n * grid.count).
+    Row i is nonzero only in a window of ``width`` consecutive grid nodes:
+    ceil(2 L h / dx) nodes plus one node of margin on each side, so that
+    rounding at the window ends never drops a nonzero node, clipped to the
+    grid. ``band`` holds the (n, width) window values and ``columns`` their
+    grid indices; ``matrix`` is the n x grid.count ``csr_array`` over these
+    arrays and ``indptr``, without a copy. Memory and each apply are
+    O(n * width) rather than O(n * grid.count).
     """
 
     def __init__(self, kernel: Kernel, centers: np.ndarray, bandwidth: float, grid: Grid):
@@ -97,37 +102,42 @@ class DiscretizedKernel:
                 f"kernel windows [x +- {L:g}] extend beyond grid "
                 f"[{grid.x0:g}, {grid.x_end:g}]"
             )
-        width = min(int(np.ceil(2 * L / grid.dx)) + 2, grid.count)
+        n, count = centers.size, grid.count
+        width = min(int(np.ceil(2 * L / grid.dx)) + 2, count)
         first = np.floor((centers - L - grid.x0) / grid.dx)
-        start = np.clip(first, 0, grid.count - width).astype(np.intp)
-        index = start[:, None] + np.arange(width)
-        tau = grid.trapezoid_weights[index]
-        rows = kernel((grid.points[index] - centers[:, None]) / bandwidth) / bandwidth
-        mass = np.einsum("ij,ij->i", rows, tau)
+        start = np.clip(first, 0, count - width).astype(np.intp)
+        t = sliding_window_view(grid.points, width)[start]
+        t -= centers[:, None]
+        t /= bandwidth
+        band = kernel(t)
+        del t
+        # trapezoid weights over dx: 1/2 on the two end nodes of the grid, 1
+        # elsewhere; dx, like the kernel's 1/h, cancels in the row sums
+        band[start == 0, 0] *= 0.5
+        band[start == count - width, -1] *= 0.5
+        mass = band.sum(axis=1)
         if np.any(mass <= 0):
             raise GridCoverageError(
                 f"bandwidth {bandwidth:g} is below the grid spacing {grid.dx:g}; "
                 "no grid node falls inside some kernel window"
             )
-        rows /= mass[:, None]
+        band /= mass[:, None]
+        # int32 indices, which scipy keeps as they are rather than copying
+        columns = start.astype(np.int32)[:, None] + np.arange(width, dtype=np.int32)
+        indptr = np.arange(0, n * width + 1, width, dtype=np.int32)
         self.grid = grid
         self.bandwidth = float(bandwidth)
-        self.start = start
-        self.rows = rows
-        self._smoother = rows * tau  # rows sum to 1
-        self._index = index
+        self.band = band
+        self.columns = columns
+        self.indptr = indptr
+        self.matrix = csr_array((band.ravel(), columns.ravel(), indptr), shape=(n, count))
 
     def density_on_grid(self, weights: np.ndarray) -> np.ndarray:
         """Values of the weighted kernel density at the grid nodes."""
         total = weights.sum()
         if not total > 0:
             raise ValueError("weights must have positive sum")
-        scattered = np.bincount(
-            self._index.ravel(),
-            weights=(weights[:, None] * self.rows).ravel(),
-            minlength=self.grid.count,
-        )
-        return scattered / total
+        return (self.matrix.T @ weights) / (total * self.grid.trapezoid_weights)
 
     def smooth_log(self, log_values: np.ndarray) -> np.ndarray:
         """exp of the trapezoid integral of K_h(u - x_i) log f(u) per center.
@@ -136,22 +146,23 @@ class DiscretizedKernel:
         positive weight to one yields exactly 0.
         """
         finite = np.isfinite(log_values)
-        logs = np.where(finite, log_values, 0.0)[self._index]
-        vals = np.exp(np.einsum("ij,ij->i", self._smoother, logs))
-        # only rows whose band holds a zero of f need the exact test
-        zeros_before = np.concatenate(([0], np.cumsum(~finite)))
-        end = self.start + self.rows.shape[1]
-        near = np.flatnonzero(zeros_before[end] > zeros_before[self.start])
-        hit = (self._smoother[near] > 0) & ~finite[self._index[near]]
-        vals[near[hit.any(axis=1)]] = 0.0
+        vals = np.exp(self.matrix @ np.where(finite, log_values, 0.0))
+        if not finite.all():
+            # S >= 0, so S [f = 0] > 0 exactly where a row weights a zero of f
+            vals[self.matrix @ np.where(finite, 0.0, 1.0) > 0] = 0.0
         return vals
 
 
 def eval_on_grid(f: WeightedKernelDensity, grid: Grid) -> GridDensity:
-    """Tabulate f on the grid; the trapezoid mass of the result is exactly 1."""
-    active = f.weights > 0
-    disc = DiscretizedKernel(QUARTIC, f.xs[active], f.bandwidth, grid)
-    return GridDensity(grid, disc.density_on_grid(f.weights[active]))
+    """Tabulate f on the grid; the trapezoid mass of the result is exactly 1.
+
+    Every point of f is tabulated, zero-weight points included, as the
+    fitting loop does, so a fit's components on the fit's grid are exactly
+    the densities it maximized. The grid must therefore cover the kernel
+    window of every point of f.
+    """
+    disc = DiscretizedKernel(QUARTIC, f.xs, f.bandwidth, grid)
+    return GridDensity(grid, disc.density_on_grid(f.weights))
 
 
 def floored_log(values: np.ndarray, floor: float = ZERO_FLOOR) -> np.ndarray:
@@ -232,13 +243,10 @@ def smoothed_loglik(
 
     smoothed = np.empty((sample.n, len(components)))
     for j, (component, h) in enumerate(zip(components, bandwidths)):
-        if isinstance(component, GridDensity):
-            if component.grid != grid:
-                raise ValueError("all components must share one grid")
-            values = component.values
-        else:
-            disc = DiscretizedKernel(QUARTIC, component.xs, component.bandwidth, grid)
-            values = disc.density_on_grid(component.weights)
+        if not isinstance(component, GridDensity):
+            component = eval_on_grid(component, grid)
+        elif component.grid != grid:
+            raise ValueError("all components must share one grid")
         disc = DiscretizedKernel(QUARTIC, sample.xs, float(h), grid)
-        smoothed[:, j] = disc.smooth_log(floored_log(values))
+        smoothed[:, j] = disc.smooth_log(floored_log(component.values))
     return mixture_loglik(sample, smoothed)[0]

@@ -1,4 +1,4 @@
-"""The banded DiscretizedKernel against a dense n x G reference built here."""
+"""The sparse DiscretizedKernel against a dense n x G reference built here."""
 
 import tracemalloc
 
@@ -10,7 +10,7 @@ from mslmix import engine
 from mslmix.bandwidth import fit_adaptive
 from mslmix.data import MixtureSample
 from mslmix.kernels import QUARTIC, Grid, GridCoverageError, GridDensity, trapezoid
-from mslmix.simulation import gen_study3
+from mslmix.simulation import gen_study1, gen_study3
 from mslmix.smoothing import DiscretizedKernel
 
 
@@ -30,20 +30,19 @@ def dense_smooth_log(smoother, log_values):
 
 
 def embedded(disc):
-    """The band written back into an n x G matrix."""
-    n, width = disc.rows.shape
-    out = np.zeros((n, disc.grid.count))
-    cols = disc.start[:, None] + np.arange(width)
-    np.put_along_axis(out, cols, disc.rows, axis=1)
+    """The stored band written back into an n x G matrix."""
+    out = np.zeros((disc.band.shape[0], disc.grid.count))
+    np.put_along_axis(out, disc.columns, disc.band, axis=1)
     return out
 
 
 def assert_matches_dense(disc, centers, h, grid, rng):
     rows, smoother = dense_rows(centers, h, grid)
     band = embedded(disc)
+    assert np.array_equal(disc.matrix.toarray(), band)
     # every nonzero of the dense matrix lies inside the band, and nothing else
-    assert np.array_equal(band > 0, rows > 0)
-    np.testing.assert_allclose(band, rows, rtol=1e-13, atol=0)
+    assert np.array_equal(band > 0, smoother > 0)
+    np.testing.assert_allclose(band, smoother, rtol=1e-13, atol=0)
 
     weights = rng.uniform(size=centers.size)
     weights[rng.integers(centers.size)] = 1.0
@@ -85,14 +84,14 @@ class TestBandAgainstDense:
         grid = Grid.over(0.0, 1.0, 11)
         centers = np.array([0.5])
         disc = DiscretizedKernel(QUARTIC, centers, 0.5, grid)
-        assert disc.rows.shape == (1, grid.count)
+        assert disc.band.shape == (1, grid.count)
         assert_matches_dense(disc, centers, 0.5, grid, np.random.default_rng(0))
 
     def test_centers_at_first_and_last_covered_node(self):
         grid = Grid(x0=0.0, dx=0.125, count=81)
         centers = np.array([1.0, 9.0])  # windows end exactly on the grid ends
         disc = DiscretizedKernel(QUARTIC, centers, 1.0, grid)
-        assert disc.start.tolist() == [0, grid.count - disc.rows.shape[1]]
+        assert disc.columns[:, 0].tolist() == [0, grid.count - disc.band.shape[1]]
         assert_matches_dense(disc, centers, 1.0, grid, np.random.default_rng(1))
 
     def test_single_center(self):
@@ -118,6 +117,66 @@ class TestBandAgainstDense:
         assert dense_smooth_log(smoother, logs)[0] > 0
         logs[11] = -np.inf  # strictly inside the window
         assert disc.smooth_log(logs)[0] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(operators())
+def test_applies_are_adjoint(op):
+    # sum_g tau_g f_g l_g sum(w) = sum_i w_i (S l)_i: the M-step's tabulation
+    # and the smoothing operator use one matrix, which the exact ascent needs
+    centers, h, grid, seed = op
+    rng = np.random.default_rng(seed)
+    disc = DiscretizedKernel(QUARTIC, centers, h, grid)
+    weights = rng.uniform(size=centers.size)
+    weights[rng.integers(centers.size)] = 1.0
+    logs = rng.uniform(-5.0, 2.0, size=grid.count)
+    f = disc.density_on_grid(weights)
+    grid_side = np.sum(grid.trapezoid_weights * f * logs) * weights.sum()
+    point_side = weights @ np.log(disc.smooth_log(logs))
+    scale = weights @ np.log(disc.smooth_log(np.abs(logs)))
+    assert abs(grid_side - point_side) <= 1e-13 * scale
+
+
+def test_operator_holds_only_the_band():
+    n = 3000
+    centers = np.random.default_rng(6).normal(size=n)
+    grid = Grid.over(-6.0, 6.0, 1024)
+    disc = DiscretizedKernel(QUARTIC, centers, 0.4, grid)
+    width = disc.band.shape[1]
+    arrays = [v for v in vars(disc).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 16 * n * width + 16 * (n + 1)
+    # the sparse matrix wraps those arrays rather than copying them
+    for part in (disc.matrix.data, disc.matrix.indices, disc.matrix.indptr):
+        assert any(np.shares_memory(part, a) for a in arrays)
+
+
+class DenseKernel:
+    """The smoothing operator as a dense n x G matrix, from its definition."""
+
+    def __init__(self, kernel, centers, bandwidth, grid):
+        self.grid = grid
+        self.bandwidth = float(bandwidth)
+        self.rows, self.smoother = dense_rows(np.asarray(centers), bandwidth, grid)
+
+    def density_on_grid(self, weights):
+        return weights @ self.rows / weights.sum()
+
+    def smooth_log(self, log_values):
+        return dense_smooth_log(self.smoother, log_values)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda rng: gen_study1(200, rng), gen_study3], ids=["study1", "study3"]
+)
+def test_fit_matches_dense_operator_fit(monkeypatch, make):
+    sample = make(np.random.default_rng(8))
+    sparse = fit_adaptive(sample, engine.FitConfig(seed=2))
+    monkeypatch.setattr(engine, "DiscretizedKernel", DenseKernel)
+    dense = fit_adaptive(sample, engine.FitConfig(seed=2))
+    assert sparse.iterations == dense.iterations
+    assert sparse.diagnostics["frozen_at"] == dense.diagnostics["frozen_at"]
+    assert np.array_equal(sparse.bandwidths, dense.bandwidths)
+    np.testing.assert_allclose(sparse.weights, dense.weights, rtol=0, atol=1e-12)
 
 
 def test_no_dense_array_is_allocated():

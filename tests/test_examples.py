@@ -1,6 +1,8 @@
 """The documented entry points run as written: the README's library example
 and the experiment scripts."""
 
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -45,6 +47,58 @@ def test_experiment_script_runs(script, header):
     )
     assert done.returncode == 0, done.stderr
     assert header in [line.split() for line in done.stdout.splitlines()]
+
+
+def test_fit_panel_compare(tmp_path, monkeypatch, capsys):
+    fit = {
+        "iterations": 3,
+        "converged": True,
+        "frozen_at": 1,
+        "bandwidths": [0.5, 0.7],
+        "grid": [0.0, 0.1, 11],
+        "degenerate_rows": [],
+        "diagnostics": {"denseness": [True, True]},
+        "weights": [[0.25, 0.75]],
+        "loglik_trace": [-3.0, float("-inf"), -2.5],
+        "fixed_point_gap": 1e-9,
+        "bandwidth_trace": None,
+        "densities": [[0.0, 1.0]],
+    }
+    panels = {
+        "base": {"study1/data0/adaptive/max3": fit},
+        "close": {"study1/data0/adaptive/max3": dict(fit, weights=[[0.25, 0.75 + 2**-40]])},
+        "moved": {"study1/data0/adaptive/max3": dict(fit, iterations=4)},
+        "other": {"study1/data1/adaptive/max3": fit},
+    }
+    paths = {}
+    for name, panel in panels.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(panel))
+
+    spec = importlib.util.spec_from_file_location("fit_panel", ROOT / "scripts" / "fit_panel.py")
+    fit_panel = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fit_panel)
+
+    def compare(a, b):
+        monkeypatch.setattr(sys, "argv", ["fit_panel.py", "--compare", str(a), str(b)])
+        with pytest.raises(SystemExit) as exit_:
+            fit_panel.main()
+        return exit_.value.code, capsys.readouterr().out
+
+    code, out = compare(paths["base"], paths["close"])
+    assert code == 0, out
+    lines = {line.split()[0]: line.split()[1:] for line in out.splitlines()}
+    assert lines["iterations"] == ["identical"]
+    assert lines["weights"][:4] == ["max", "abs", f"{2**-40:.3g}", "max"]
+    assert lines["loglik_trace"][:3] == ["max", "abs", "0"]
+
+    code, out = compare(paths["base"], paths["moved"])
+    assert code == 1
+    assert "iterations        1 differ" in out
+
+    code, out = compare(paths["base"], paths["other"])
+    assert code == 1
+    assert "fits only in one panel" in out
 
 
 def test_readme_library_list_is_the_package_root():

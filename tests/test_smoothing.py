@@ -76,6 +76,31 @@ class TestWeightedKernelDensity:
         assert np.allclose(vals, vals[::-1], atol=1e-12)
 
 
+class TestEvalOnGrid:
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+    def test_fit_components_are_the_loop_densities(self, mode):
+        # Study 3's pure block gives exact zero weights; they are tabulated
+        # too, so the normalizing sum runs as in the fitting loop
+        sample = STUDIES["3"].sample(np.random.default_rng([99, 3, 0]))
+        config = FitConfig(seed=500)
+        if mode == "fixed":
+            result = fit_fixed_bandwidth(sample, [0.6, 0.8], config)
+        else:
+            result = fit_adaptive(sample, config)
+        assert np.any(result.weights == 0)
+        for j, component in enumerate(result.components):
+            disc = DiscretizedKernel(QUARTIC, sample.xs, result.bandwidths[j], result.grid)
+            assert np.array_equal(
+                eval_on_grid(component, result.grid).values,
+                disc.density_on_grid(result.weights[:, j]),
+            )
+
+    def test_zero_weight_windows_must_be_covered(self):
+        f = WeightedKernelDensity(np.array([0.0, 30.0]), np.array([1.0, 0.0]), 1.0)
+        with pytest.raises(GridCoverageError):
+            eval_on_grid(f, Grid.over(-3.0, 3.0, 257))
+
+
 class TestNonlinearSmooth:
     def test_uniform_inside_window_gives_one(self):
         grid = Grid.over(-1.0, 2.0, 601)
