@@ -91,7 +91,7 @@ def largest_difference(a, b) -> tuple[float, float] | None:
     if a.shape != b.shape:
         return None
     same = (a == b) | (np.isnan(a) & np.isnan(b))
-    diff = np.where(same, 0.0, np.abs(a - b))
+    diff = np.abs(np.subtract(a, b, out=np.zeros(a.shape), where=~same))
     if not diff.size:
         return 0.0, 0.0
     scale = np.maximum(np.abs(a), np.abs(b))

@@ -122,7 +122,6 @@ def _fit_bundle(result: FitResult, mode: str, seed: int, args) -> dict:
             "tolerance": args.tol,
             "max_iterations": args.max_iter,
             "grid_size": args.grid_size,
-            "grid_range": args.grid_range,
         },
         "converged": result.converged,
         "iterations": result.iterations,
@@ -154,7 +153,6 @@ def cmd_fit(args) -> None:
         tolerance=args.tol,
         max_iterations=args.max_iter,
         grid_size=args.grid_size,
-        grid_range=args.grid_range,
         seed=_resolve_seed(args.seed),
     )
     if args.bandwidth is not None:
@@ -213,7 +211,6 @@ def cmd_simulate(args) -> None:
         tolerance=args.tol,
         max_iterations=args.max_iter,
         grid_size=args.grid_size,
-        grid_range=args.grid_range,
     )
     report = run_replications(
         design,
@@ -224,13 +221,6 @@ def cmd_simulate(args) -> None:
     )
     (outdir / "report.csv").write_text(report.to_csv())
     (outdir / "report.json").write_text(report.to_json() + "\n")
-
-
-def _float_pair(text: str) -> tuple[float, float]:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected lo,hi")
-    return (parts[0], parts[1])
 
 
 def _float_list(text: str) -> list[float]:
@@ -253,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-5)
     common.add_argument("--max-iter", type=int, default=500)
     common.add_argument("--grid-size", type=int, default=1024)
-    common.add_argument(
-        "--grid-range", type=_float_pair, default=None, metavar="LO,HI"
-    )
 
     fit = sub.add_parser("fit", parents=[common], help="fit component densities")
     fit.add_argument("--input", required=True, help="CSV with x,alpha_1,...,alpha_M")

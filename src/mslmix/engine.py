@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import MixtureSample
-from .kernels import QUARTIC, Grid, build_grid
+from .kernels import QUARTIC, Grid, build_grid, window_span
 from .smoothing import (
     DiscretizedKernel,
     WeightedKernelDensity,
@@ -61,8 +61,6 @@ class FitConfig:
     tolerance: float = 1e-5
     max_iterations: int = 500
     grid_size: int = 1024
-    pad_fraction: float = 0.1
-    grid_range: tuple[float, float] | None = None
     seed: int | None = None
     init_weights: np.ndarray | None = None
 
@@ -176,16 +174,9 @@ def run_fit(
     def discretize(hs: np.ndarray, grid: Grid | None = None, discs=()):
         # operators for hs; the grid is rebuilt only when a window leaves it,
         # and an operator is rebuilt only when its bandwidth or grid changed
-        reach = QUARTIC.half_width * hs.max()
-        lo, hi = float(sample.xs.min()) - reach, float(sample.xs.max()) + reach
-        if grid is None or not grid.covers(lo, hi):
-            grid = build_grid(
-                sample.xs,
-                float(hs.max()),
-                count=config.grid_size,
-                pad_fraction=config.pad_fraction,
-                span=config.grid_range,
-            )
+        h_max = float(hs.max())
+        if grid is None or not grid.covers(*window_span(sample.xs, h_max)):
+            grid = build_grid(sample.xs, h_max, count=config.grid_size)
         built = {d.bandwidth: d for d in discs if d.grid == grid}
         for h in hs:
             if h not in built:

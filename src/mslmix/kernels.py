@@ -18,12 +18,18 @@ __all__ = [
     "GridDensity",
     "GridCoverageError",
     "trapezoid",
+    "window_span",
     "build_grid",
 ]
 
+#: Extra span on each side of a built grid, as a fraction of the data range.
+PAD_FRACTION = 0.1
+#: Relative slack for rounding when testing that a grid covers an interval.
+_COVER_SLACK = 1e-12
+
 
 class GridCoverageError(ValueError):
-    """A kernel window or requested range falls outside the grid."""
+    """A kernel window falls outside the grid or holds no grid node."""
 
 
 @dataclass(frozen=True)
@@ -95,8 +101,8 @@ class Grid:
         w[0] = w[-1] = 0.5 * self.dx
         return w
 
-    def covers(self, lo: float, hi: float, slack: float = 1e-12) -> bool:
-        eps = slack * max(1.0, abs(self.x0), abs(self.x_end))
+    def covers(self, lo: float, hi: float) -> bool:
+        eps = _COVER_SLACK * max(1.0, abs(self.x0), abs(self.x_end))
         return self.x0 - eps <= lo and hi <= self.x_end + eps
 
     @classmethod
@@ -129,32 +135,20 @@ def trapezoid(g: GridDensity) -> float:
     return float(g.grid.trapezoid_weights @ g.values)
 
 
-def build_grid(
-    xs: np.ndarray,
-    h_max: float,
-    count: int = 1024,
-    pad_fraction: float = 0.1,
-    span: tuple[float, float] | None = None,
-) -> Grid:
+def window_span(xs: np.ndarray, h: float) -> tuple[float, float]:
+    """The interval [min(xs) - L*h, max(xs) + L*h] that holds the kernel
+    window of every point of xs at bandwidth h; a grid must cover it."""
+    reach = QUARTIC.half_width * float(h)
+    return float(np.min(xs)) - reach, float(np.max(xs)) + reach
+
+
+def build_grid(xs: np.ndarray, h_max: float, count: int = 1024) -> Grid:
     """Grid covering the sample plus every kernel window of bandwidth <= h_max.
 
-    The span is [min(xs) - L*h_max - pad, max(xs) + L*h_max + pad] with
-    pad = pad_fraction * data range, unless an explicit span is forced; a
-    forced span that fails to cover the kernel windows raises
-    GridCoverageError.
+    The span is window_span(xs, h_max) widened on each side by PAD_FRACTION
+    of the data range.
     """
     xs = np.asarray(xs, dtype=float)
-    margin = QUARTIC.half_width * float(h_max)
-    need_lo = float(xs.min()) - margin
-    need_hi = float(xs.max()) + margin
-    if span is None:
-        pad = pad_fraction * float(xs.max() - xs.min())
-        grid = Grid.over(need_lo - pad, need_hi + pad, count)
-    else:
-        grid = Grid.over(span[0], span[1], count)
-    if not grid.covers(need_lo, need_hi):
-        raise GridCoverageError(
-            f"grid [{grid.x0}, {grid.x_end}] does not cover required range "
-            f"[{need_lo}, {need_hi}] (bandwidth {h_max})"
-        )
-    return grid
+    lo, hi = window_span(xs, h_max)
+    pad = PAD_FRACTION * float(xs.max() - xs.min())
+    return Grid.over(lo - pad, hi + pad, count)

@@ -15,7 +15,7 @@ from scipy import stats
 from .bandwidth import fit_adaptive, plugin_bandwidth
 from .data import MixtureSample
 from .engine import FitConfig
-from .kernels import QUARTIC, Grid, GridDensity
+from .kernels import Grid, GridDensity, window_span
 from .metrics import DensityPair, ise, l1_distance
 from .smoothing import WeightedKernelDensity, eval_on_grid
 
@@ -296,13 +296,14 @@ def run_replications(
     for name in names:
         if name not in ("proposed", "simple"):
             raise ValueError(f"unknown estimator {name!r}")
+        if names.count(name) > 1:
+            raise ValueError(f"estimator {name!r} is listed more than once")
     if "simple" in names and design.pure_block is None:
         raise ValueError(
             "the simple estimator needs a design with a pure block"
         )
     n_eff = design.default_n if n is None else int(n)
     M = len(design.truths)
-    L = QUARTIC.half_width
 
     ise_acc = {name: np.full((replications, M), np.nan) for name in names}
     l1_acc = {name: np.full((replications, M), np.nan) for name in names}
@@ -340,8 +341,9 @@ def run_replications(
                 failures.append(_failure(r, "simple", exc))
                 simple_blocks = None
 
-        lo = min(design.eval_range[0], float(xs.min()) - L * h_needed - 1e-9)
-        hi = max(design.eval_range[1], float(xs.max()) + L * h_needed + 1e-9)
+        lo, hi = window_span(xs, h_needed)
+        lo = min(design.eval_range[0], lo - 1e-9)
+        hi = max(design.eval_range[1], hi + 1e-9)
         grid = Grid.over(lo, hi, config.grid_size)
 
         if fitted is not None:

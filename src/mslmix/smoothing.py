@@ -145,12 +145,14 @@ class DiscretizedKernel:
         -inf entries in ``log_values`` mark zeros of f; any window giving
         positive weight to one yields exactly 0.
         """
-        finite = np.isfinite(log_values)
-        vals = np.exp(self.matrix @ np.where(finite, log_values, 0.0))
-        if not finite.all():
-            # S >= 0, so S [f = 0] > 0 exactly where a row weights a zero of f
-            vals[self.matrix @ np.where(finite, 0.0, 1.0) > 0] = 0.0
-        return vals
+        # One product, exact: with -inf replaced by the most negative float,
+        # the band's explicit zeros add -0.0 (S >= 0), which leaves every sum
+        # bit-identical. A positive entry of S is a kernel value of at least
+        # 2^-106 over a row mass below grid.count (about 1e-35 on 1024
+        # nodes), so a row weighting a zero of f sums below -1e270 on any
+        # grid of up to 10^6 nodes, or to -inf, and exp gives exactly 0.0.
+        # log f never holds +inf, so no NaN arises.
+        return np.exp(self.matrix @ np.maximum(log_values, -np.finfo(float).max))
 
 
 def eval_on_grid(f: WeightedKernelDensity, grid: Grid) -> GridDensity:

@@ -137,6 +137,26 @@ def test_applies_are_adjoint(op):
     assert abs(grid_side - point_side) <= 1e-13 * scale
 
 
+@settings(max_examples=100, deadline=None)
+@given(operators())
+def test_zero_at_smallest_entry_zeroes_exactly_its_rows(op):
+    # -inf where S is smallest but positive still zeroes every row that
+    # weights it; every other row matches the product with that node at 0
+    centers, h, grid, seed = op
+    disc = DiscretizedKernel(QUARTIC, centers, h, grid)
+    S = embedded(disc)
+    column = np.unravel_index(np.argmin(np.where(S > 0, S, np.inf)), S.shape)[1]
+    logs = np.random.default_rng(seed).uniform(-5.0, 2.0, size=grid.count)
+    logs[column] = 0.0
+    reference = disc.smooth_log(logs)
+    logs[column] = -np.inf
+    got = disc.smooth_log(logs)
+    hit = S[:, column] > 0
+    assert np.all(got[hit] == 0.0)
+    assert np.all(got[~hit] > 0)
+    assert np.array_equal(got[~hit], reference[~hit])
+
+
 def test_operator_holds_only_the_band():
     n = 3000
     centers = np.random.default_rng(6).normal(size=n)

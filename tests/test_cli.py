@@ -298,3 +298,26 @@ class TestCmdSimulate:
         assert code == 1
         err = json.loads((out / "error.json").read_text())
         assert "pure block" in err["message"]
+
+    def test_duplicate_estimator_is_error(self, tmp_path):
+        out = tmp_path / "dup"
+        code = main(
+            [
+                "simulate",
+                "--study",
+                "3",
+                "--reps",
+                "2",
+                "--seed",
+                "5",
+                "--output",
+                str(out),
+                "--estimators",
+                "proposed,proposed,simple",
+            ]
+        )
+        assert code == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ValueError"
+        assert "'proposed' is listed more than once" in err["message"]
+        assert not (out / "report.csv").exists()

@@ -49,6 +49,7 @@ def test_experiment_script_runs(script, header):
     assert header in [line.split() for line in done.stdout.splitlines()]
 
 
+@pytest.mark.filterwarnings("error")
 def test_fit_panel_compare(tmp_path, monkeypatch, capsys):
     fit = {
         "iterations": 3,

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from mslmix.kernels import (
     QUARTIC,
     Grid,
-    GridCoverageError,
     GridDensity,
     build_grid,
     trapezoid,
+    window_span,
 )
+from mslmix.smoothing import DiscretizedKernel
 
 
 def quartic_moment_oracle(power: int) -> float:
@@ -78,15 +79,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid.over(1.0, 1.0, 16)
 
-    def test_build_grid_covers_kernel_windows(self):
-        xs = np.array([-2.0, 0.0, 5.0])
-        g = build_grid(xs, h_max=1.5, count=256)
-        assert g.covers(xs.min() - 1.5, xs.max() + 1.5)
-
-    def test_build_grid_rejects_too_small_span(self):
-        xs = np.array([-2.0, 0.0, 5.0])
-        with pytest.raises(GridCoverageError):
-            build_grid(xs, h_max=1.5, count=256, span=(-2.5, 5.5))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
+        ratio=st.floats(0.2, 10.0),
+        count=st.integers(8, 2048),
+    )
+    def test_build_grid_covers_kernel_windows(self, xs, ratio, count):
+        xs = np.array(xs)
+        h = ratio * max(float(np.ptp(xs)), 1e-3)
+        lo, hi = window_span(xs, h)
+        assert (lo, hi) == (xs.min() - h, xs.max() + h)
+        g = build_grid(xs, h_max=h, count=count)
+        assert g.count == count
+        assert g.covers(lo, hi)
+        DiscretizedKernel(QUARTIC, xs, h, g)
 
 
 class TestTrapezoid:

@@ -206,6 +206,13 @@ class TestRunReplications:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError, match="unknown estimator"):
             run_replications(STUDIES["1"], 1, estimators=("other",), master_seed=0)
+        with pytest.raises(ValueError, match="'proposed' is listed more than once"):
+            run_replications(
+                STUDIES["3"],
+                1,
+                estimators=("proposed", "proposed", "simple"),
+                master_seed=0,
+            )
 
     def test_failures_are_recorded_and_excluded(self, monkeypatch):
         calls = {"count": 0}
