@@ -84,7 +84,8 @@ def panel() -> dict:
 
 def largest_difference(a, b) -> tuple[float, float] | None:
     """(max abs, max relative) difference of two equal-shape numeric values,
-    or None when the shapes differ. Equal infinities count as no difference."""
+    or None when the shapes differ. Equal infinities count as no difference;
+    an infinity against any other value is an infinite relative difference."""
     if a is None or b is None:
         return (0.0, 0.0) if a is b else None
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -95,7 +96,10 @@ def largest_difference(a, b) -> tuple[float, float] | None:
     if not diff.size:
         return 0.0, 0.0
     scale = np.maximum(np.abs(a), np.abs(b))
-    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=diff > 0)
+    differ = diff > 0
+    rel = np.divide(
+        diff, scale, out=np.where(differ, np.inf, 0.0), where=differ & np.isfinite(scale)
+    )
     return float(diff.max()), float(rel.max())
 
 

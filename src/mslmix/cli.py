@@ -111,17 +111,25 @@ def _resolve_seed(arg_seed: int | None) -> int:
     return int(np.random.SeedSequence().entropy)
 
 
-def _fit_bundle(result: FitResult, mode: str, seed: int, args) -> dict:
+def _config(args, seed: int | None = None) -> FitConfig:
+    """The fit settings of the flags every command shares."""
+    return FitConfig(
+        tolerance=args.tol,
+        max_iterations=args.max_iter,
+        grid_size=args.grid_size,
+        seed=seed,
+    )
+
+
+def _fit_bundle(result: FitResult, mode: str, config: FitConfig, input_path) -> dict:
     col_sums = result.weights.sum(axis=0)
     return {
         "command": "fit",
         "mode": mode,
-        "seed": seed,
-        "input": str(args.input),
+        "seed": config.seed,
+        "input": str(input_path),
         "config": {
-            "tolerance": args.tol,
-            "max_iterations": args.max_iter,
-            "grid_size": args.grid_size,
+            k: getattr(config, k) for k in ("tolerance", "max_iterations", "grid_size")
         },
         "converged": result.converged,
         "iterations": result.iterations,
@@ -149,12 +157,7 @@ def _fit_bundle(result: FitResult, mode: str, seed: int, args) -> dict:
 def cmd_fit(args) -> None:
     outdir = Path(args.output)
     sample = ingest_csv(args.input, args.components)
-    config = FitConfig(
-        tolerance=args.tol,
-        max_iterations=args.max_iter,
-        grid_size=args.grid_size,
-        seed=_resolve_seed(args.seed),
-    )
+    config = _config(args, _resolve_seed(args.seed))
     if args.bandwidth is not None:
         if len(args.bandwidth) != sample.n_components:
             raise ValueError(
@@ -176,7 +179,7 @@ def cmd_fit(args) -> None:
                 f"(grid mass {mass:.9g})"
             )
     _write_densities_csv(outdir / "densities.csv", result, densities)
-    bundle = _fit_bundle(result, mode, config.seed, args)
+    bundle = _fit_bundle(result, mode, config, args.input)
     bundle["components"] = [
         {"bandwidth": float(h), "grid_mass": trapezoid(d)}
         for h, d in zip(result.bandwidths, densities)
@@ -207,15 +210,10 @@ def cmd_simulate(args) -> None:
     design = STUDIES[args.study]
     estimators = tuple(args.estimators.split(","))
     seed = _resolve_seed(args.seed)
-    config = FitConfig(
-        tolerance=args.tol,
-        max_iterations=args.max_iter,
-        grid_size=args.grid_size,
-    )
     report = run_replications(
         design,
         args.reps,
-        config=config,
+        config=_config(args),
         estimators=estimators,
         master_seed=seed,
     )

@@ -268,8 +268,8 @@ def fit_fixed_bandwidth(
     bandwidths = [float(h) for h in bandwidths]
     if len(bandwidths) != sample.n_components:
         raise ValueError("need one bandwidth per component")
-    if min(bandwidths) <= 0:
-        raise ValueError("bandwidths must be positive")
+    if not all(0 < h < np.inf for h in bandwidths):
+        raise ValueError(f"bandwidths must be positive and finite, got {bandwidths}")
     return run_fit(sample, bandwidths, config or FitConfig())
 
 

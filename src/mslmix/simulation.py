@@ -25,6 +25,7 @@ __all__ = [
     "gen_study1",
     "gen_study2",
     "gen_study3",
+    "plugin_kde",
     "simple_estimator",
     "ReplicationReport",
     "run_replications",
@@ -165,33 +166,28 @@ STUDIES: dict[str, StudyDesign] = {
 }
 
 
+def plugin_kde(xs: np.ndarray) -> WeightedKernelDensity:
+    """The plain KDE of one block: unit weights at the plug-in bandwidth."""
+    xs = np.asarray(xs, dtype=float)
+    return WeightedKernelDensity(xs, np.ones_like(xs), plugin_bandwidth(xs))
+
+
 def simple_estimator(
-    mixture_xs: np.ndarray,
-    pure_xs: np.ndarray,
+    mixture: WeightedKernelDensity,
+    pure: WeightedKernelDensity,
     grid: Grid,
     proportions: tuple[float, float] = STUDY3_PROPS,
 ) -> tuple[GridDensity, GridDensity]:
-    """Linear-unmixing baseline for a two-block design.
+    """Linear-unmixing baseline for a two-block design, from the
+    ``plugin_kde`` of each block.
 
-    The second component is a plain plug-in KDE of the pure block; the first
-    is recovered by subtracting it from the mixture-block KDE, so it
-    integrates to 1 but may go negative.
+    The second component is the pure block's KDE; the first is recovered by
+    subtracting it from the mixture-block KDE, so it integrates to 1 but may
+    go negative.
     """
-    mixture_xs = np.asarray(mixture_xs, dtype=float)
-    pure_xs = np.asarray(pure_xs, dtype=float)
-    if mixture_xs.size < 2 or pure_xs.size < 2:
-        raise ValueError("both blocks need at least 2 observations")
     p1, p2 = proportions
-    f2 = eval_on_grid(
-        WeightedKernelDensity(pure_xs, np.ones_like(pure_xs), plugin_bandwidth(pure_xs)),
-        grid,
-    )
-    r = eval_on_grid(
-        WeightedKernelDensity(
-            mixture_xs, np.ones_like(mixture_xs), plugin_bandwidth(mixture_xs)
-        ),
-        grid,
-    )
+    f2 = eval_on_grid(pure, grid)
+    r = eval_on_grid(mixture, grid)
     f1 = GridDensity(grid, (r.values - p2 * f2.values) / p1)
     return f1, f2
 
@@ -273,6 +269,65 @@ def _failure(r: int, estimator: str, exc: Exception) -> dict:
     }
 
 
+def _fit_proposed(design: StudyDesign, sample: MixtureSample, config: FitConfig):
+    components = fit_adaptive(sample, config).components
+    return components, lambda grid: [eval_on_grid(c, grid) for c in components]
+
+
+def _fit_simple(design: StudyDesign, sample: MixtureSample, config: FitConfig):
+    split = sample.n - design.pure_block
+    blocks = [plugin_kde(sample.xs[:split]), plugin_kde(sample.xs[split:])]
+    return blocks, lambda grid: simple_estimator(*blocks, grid, design.mixture_props)
+
+
+#: Each estimator maps (design, sample, per-replicate config) to the kernel
+#: densities whose bandwidths size the evaluation grid, and a function that
+#: tabulates its component estimates on a grid.
+ESTIMATORS = {"proposed": _fit_proposed, "simple": _fit_simple}
+
+
+def _evaluation_grid(design: StudyDesign, xs: np.ndarray, h_max: float, count: int):
+    """The truth window widened to every kernel window of xs at bandwidth h_max."""
+    lo, hi = window_span(xs, h_max)
+    lo = min(design.eval_range[0], lo - 1e-9)
+    hi = max(design.eval_range[1], hi + 1e-9)
+    return Grid.over(lo, hi, count)
+
+
+def _replicate(design, names, config, n, master_seed, r) -> tuple[int, dict, list[dict]]:
+    """Replicate r: data from the stream keyed by (master_seed, r), fit seed
+    from (master_seed, r, 1); each named estimator is built, tabulated on one
+    evaluation grid and scored.
+
+    Returns the fit seed, {name: (ISE row, L1 row, min of f_1)} for each
+    estimator that succeeded, and a failure record for each that did not.
+    """
+    data_rng = np.random.default_rng([master_seed, r])
+    fit_seed = int(np.random.default_rng([master_seed, r, 1]).integers(2**63))
+    sample = design.sample(data_rng, n)
+    rep_config = dataclasses.replace(config, seed=fit_seed)
+    failures: list[dict] = []
+    built = {}
+    for name in names:
+        try:
+            built[name] = ESTIMATORS[name](design, sample, rep_config)
+        except Exception as exc:  # recorded, not fatal
+            failures.append(_failure(r, name, exc))
+    hs = [kde.bandwidth for kdes, _ in built.values() for kde in kdes]
+    grid = _evaluation_grid(design, sample.xs, max(hs, default=0.0), config.grid_size)
+    scores = {}
+    for name, (_, tabulate) in built.items():
+        try:
+            fs = tabulate(grid)
+        except Exception as exc:
+            failures.append(_failure(r, name, exc))
+            continue
+        pairs = [DensityPair.from_callable(f, t) for f, t in zip(fs, design.truths)]
+        rows = [ise(p) for p in pairs], [l1_distance(p) for p in pairs]
+        scores[name] = (*rows, float(fs[0].values.min()))
+    return fit_seed, scores, failures
+
+
 def run_replications(
     design: StudyDesign,
     replications: int,
@@ -286,93 +341,37 @@ def run_replications(
     Replicate r draws its data from a stream keyed by (master_seed, r) and
     its fit initialization from (master_seed, r, 1), so reports are
     reproducible and independent of execution order. Replicates whose fit
-    fails are recorded and excluded from the averages, never dropped
-    silently.
+    or tabulation fails are recorded and excluded from the averages, never
+    dropped silently.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     config = config or FitConfig()
     names = tuple(estimators)
     for name in names:
-        if name not in ("proposed", "simple"):
+        if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}")
         if names.count(name) > 1:
             raise ValueError(f"estimator {name!r} is listed more than once")
     if "simple" in names and design.pure_block is None:
-        raise ValueError(
-            "the simple estimator needs a design with a pure block"
-        )
+        raise ValueError("the simple estimator needs a design with a pure block")
     n_eff = design.default_n if n is None else int(n)
     M = len(design.truths)
 
+    runs = [
+        _replicate(design, names, config, n_eff, master_seed, r)
+        for r in range(replications)
+    ]
     ise_acc = {name: np.full((replications, M), np.nan) for name in names}
     l1_acc = {name: np.full((replications, M), np.nan) for name in names}
-    min_f1 = []
-    failures: list[dict] = []
-    seeds: list[int] = []
-
-    for r in range(replications):
-        data_rng = np.random.default_rng([master_seed, r])
-        fit_seed = int(np.random.default_rng([master_seed, r, 1]).integers(2**63))
-        seeds.append(fit_seed)
-        sample = design.sample(data_rng, n_eff)
-        xs = sample.xs
-
-        fitted = None
-        h_needed = 0.0
-        if "proposed" in names:
-            try:
-                rep_config = dataclasses.replace(config, seed=fit_seed)
-                fitted = fit_adaptive(sample, rep_config)
-                h_needed = max(h_needed, float(fitted.bandwidths.max()))
-            except Exception as exc:  # recorded, not fatal
-                failures.append(_failure(r, "proposed", exc))
-        simple_blocks = None
-        if "simple" in names:
-            split = sample.n - design.pure_block
-            simple_blocks = (xs[:split], xs[split:])
-            try:
-                h_needed = max(
-                    h_needed,
-                    plugin_bandwidth(simple_blocks[0]),
-                    plugin_bandwidth(simple_blocks[1]),
-                )
-            except Exception as exc:
-                failures.append(_failure(r, "simple", exc))
-                simple_blocks = None
-
-        lo, hi = window_span(xs, h_needed)
-        lo = min(design.eval_range[0], lo - 1e-9)
-        hi = max(design.eval_range[1], hi + 1e-9)
-        grid = Grid.over(lo, hi, config.grid_size)
-
-        if fitted is not None:
-            for j in range(M):
-                pair = DensityPair.from_callable(
-                    eval_on_grid(fitted.components[j], grid), design.truths[j]
-                )
-                ise_acc["proposed"][r, j] = ise(pair)
-                l1_acc["proposed"][r, j] = l1_distance(pair)
-        if simple_blocks is not None:
-            try:
-                f1, f2 = simple_estimator(
-                    simple_blocks[0], simple_blocks[1], grid, design.mixture_props
-                )
-            except Exception as exc:
-                failures.append(_failure(r, "simple", exc))
-            else:
-                min_f1.append(float(f1.values.min()))
-                for j, est in enumerate((f1, f2)):
-                    pair = DensityPair.from_callable(est, design.truths[j])
-                    ise_acc["simple"][r, j] = ise(pair)
-                    l1_acc["simple"][r, j] = l1_distance(pair)
+    for r, (_, scores, _) in enumerate(runs):
+        for name, (ise_row, l1_row, _) in scores.items():
+            ise_acc[name][r], l1_acc[name][r] = ise_row, l1_row
 
     mean_ise = {}
     se_ise = {}
     for name in names:
-        vals = ise_acc[name]
-        ok = ~np.isnan(vals[:, 0])
-        kept = vals[ok]
+        kept = ise_acc[name][~np.isnan(ise_acc[name][:, 0])]
         if kept.shape[0] == 0:
             raise RuntimeError(f"every replicate failed for estimator {name!r}")
         mean_ise[name] = [float(v) for v in kept.mean(axis=0)]
@@ -380,6 +379,7 @@ def run_replications(
         se_ise[name] = [float(v) for v in spread / np.sqrt(kept.shape[0])]
 
     extras = {}
+    min_f1 = [scores["simple"][2] for _, scores, _ in runs if "simple" in scores]
     if min_f1:
         extras["simple_min_f1"] = min_f1
         extras["simple_negative_fraction"] = float(
@@ -396,8 +396,8 @@ def run_replications(
         se_ise=se_ise,
         per_replicate_ise=ise_acc,
         per_replicate_l1=l1_acc,
-        replicate_seeds=seeds,
-        failures=failures,
+        replicate_seeds=[seed for seed, _, _ in runs],
+        failures=[f for _, _, fails in runs for f in fails],
         config=_config_snapshot(config, n_eff),
         extras=extras,
     )

@@ -250,6 +250,16 @@ class TestCmdFit:
         assert code == 1
         assert (out / "error.json").exists()
 
+    def test_nonfinite_bandwidth_is_error(self, sample_csv, tmp_path):
+        out = tmp_path / "nan"
+        code = main(
+            ["fit", "--input", str(sample_csv), "--output", str(out), "--bandwidth", "nan,1"]
+        )
+        assert code == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ValueError"
+        assert err["message"] == "bandwidths must be positive and finite, got [nan, 1.0]"
+
 
 class TestCmdSimulate:
     def test_simulate_writes_report(self, tmp_path):

@@ -216,3 +216,9 @@ class TestFitFixedBandwidth:
         s = two_component_sample(n=10)
         with pytest.raises(ValueError, match="one bandwidth per component"):
             fit_fixed_bandwidth(s, [0.5])
+
+    @pytest.mark.parametrize("bandwidths", [[0.0, 1.0], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_nonpositive_or_nonfinite_bandwidth_rejected(self, bandwidths):
+        s = two_component_sample(n=10)
+        with pytest.raises(ValueError, match="bandwidths must be positive and finite, got"):
+            fit_fixed_bandwidth(s, bandwidths)

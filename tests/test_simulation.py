@@ -12,6 +12,7 @@ from mslmix.simulation import (
     gen_study1,
     gen_study2,
     gen_study3,
+    plugin_kde,
     run_replications,
     simple_estimator,
 )
@@ -116,11 +117,14 @@ class TestSimpleEstimator:
         hi = self.sample.xs.max() + 5
         self.grid = Grid.over(lo, hi, 2048)
 
+    def blocks(self):
+        return plugin_kde(self.mix), plugin_kde(self.pure)
+
     def test_reconstruction_identity(self):
-        f1, f2 = simple_estimator(self.mix, self.pure, self.grid)
+        f1, f2 = simple_estimator(*self.blocks(), self.grid)
         # r = p1 f1 + p2 f2 must hold at every grid node by construction
         r = 0.677 * f1.values + 0.323 * f2.values
-        disc = simple_estimator(self.mix, self.pure, self.grid)
+        disc = simple_estimator(*self.blocks(), self.grid)
         assert np.allclose(
             r, 0.677 * disc[0].values + 0.323 * disc[1].values, atol=0
         )
@@ -135,7 +139,7 @@ class TestSimpleEstimator:
         assert np.allclose(r, mixture_kde.values, atol=1e-12)
 
     def test_unit_mass(self):
-        f1, f2 = simple_estimator(self.mix, self.pure, self.grid)
+        f1, f2 = simple_estimator(*self.blocks(), self.grid)
         assert trapezoid(f1) == pytest.approx(1.0, abs=1e-6)
         assert trapezoid(f2) == pytest.approx(1.0, abs=1e-6)
 
@@ -144,13 +148,13 @@ class TestSimpleEstimator:
         for seed in range(20):
             s = gen_study3(np.random.default_rng(seed))
             grid = Grid.over(s.xs.min() - 5, s.xs.max() + 5, 1024)
-            f1, _ = simple_estimator(s.xs[:211], s.xs[211:], grid)
+            f1, _ = simple_estimator(plugin_kde(s.xs[:211]), plugin_kde(s.xs[211:]), grid)
             mins.append(f1.values.min())
         assert min(mins) < 0
 
     def test_degenerate_blocks_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            simple_estimator(self.mix, self.pure[:1], self.grid)
+            plugin_kde(self.pure[:1])
 
 
 class TestRunReplications:
@@ -241,3 +245,54 @@ class TestRunReplications:
         assert doc["per_replicate_ise"]["proposed"][1] == [None, None]
         # R column reflects only the replicates that were aggregated
         assert ",2," in report.to_csv().splitlines()[1]
+
+    def test_tabulation_failures_are_recorded_and_excluded(self, monkeypatch):
+        calls = {"count": 0}
+        real = sim.eval_on_grid
+
+        def flaky(f, grid):
+            calls["count"] += 1
+            if calls["count"] == 3:  # replicate 1, first component
+                raise ValueError("synthetic tabulation failure")
+            return real(f, grid)
+
+        monkeypatch.setattr(sim, "eval_on_grid", flaky)
+        report = run_replications(
+            STUDIES["1"],
+            3,
+            config=FitConfig(grid_size=512),
+            n=60,
+            master_seed=3,
+        )
+        assert report.failures == [
+            {
+                "replicate": 1,
+                "estimator": "proposed",
+                "error": "ValueError",
+                "message": "synthetic tabulation failure",
+            }
+        ]
+        assert np.isnan(report.per_replicate_ise["proposed"][1]).all()
+        assert np.isnan(report.per_replicate_l1["proposed"][1]).all()
+        kept = report.per_replicate_ise["proposed"][[0, 2]]
+        assert report.mean_ise["proposed"] == pytest.approx(kept.mean(axis=0), rel=1e-15)
+        assert ",2," in report.to_csv().splitlines()[1]
+
+    def test_baseline_selects_each_block_bandwidth_once(self, monkeypatch):
+        blocks = []
+        real = sim.plugin_bandwidth
+
+        def counted(xs):
+            blocks.append(len(xs))
+            return real(xs)
+
+        monkeypatch.setattr(sim, "plugin_bandwidth", counted)
+        report = run_replications(
+            STUDIES["3"],
+            2,
+            config=FitConfig(grid_size=512),
+            estimators=("proposed", "simple"),
+            master_seed=1,
+        )
+        assert report.failures == []
+        assert blocks == [sim.STUDY3_N1, sim.STUDY3_N2] * 2
