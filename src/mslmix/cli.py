@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -92,14 +93,6 @@ def write_sample_csv(sample: MixtureSample, path: str | Path) -> None:
             fh.write(f"{x:.17g}," + ",".join(f"{a:.17g}" for a in row) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_error(outdir: Path, exc: Exception) -> None:
     doc = {"error": type(exc).__name__, "message": str(exc)}
     (outdir / "error.json").write_text(json.dumps(doc, indent=2) + "\n")
@@ -123,11 +116,16 @@ def _config(args, seed: int | None = None) -> FitConfig:
 
 def _fit_bundle(result: FitResult, mode: str, config: FitConfig, input_path) -> dict:
     col_sums = result.weights.sum(axis=0)
+    input_path = Path(input_path)
     return {
         "command": "fit",
         "mode": mode,
         "seed": config.seed,
-        "input": str(input_path),
+        # the file's name and content, not where it lives
+        "input": {
+            "name": input_path.name,
+            "sha256": hashlib.sha256(input_path.read_bytes()).hexdigest(),
+        },
         "config": {
             k: getattr(config, k) for k in ("tolerance", "max_iterations", "grid_size")
         },
@@ -184,9 +182,7 @@ def cmd_fit(args) -> None:
         {"bandwidth": float(h), "grid_mass": trapezoid(d)}
         for h, d in zip(result.bandwidths, densities)
     ]
-    (outdir / "result.json").write_text(
-        json.dumps(bundle, indent=2, default=_json_default) + "\n"
-    )
+    (outdir / "result.json").write_text(json.dumps(bundle, indent=2) + "\n")
 
 
 def _write_densities_csv(path: Path, result: FitResult, densities: list[GridDensity]):

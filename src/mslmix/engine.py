@@ -167,8 +167,9 @@ def run_fit(
     diagnostics) until two consecutive passes move the bandwidths by less
     than BANDWIDTH_FREEZE_TOL; without it the bandwidths are frozen from
     pass 0. Convergence is tested only while frozen, so the first frozen
-    pass compares against the last adaptive likelihood, and a freeze on the
-    last budgeted pass still gets one frozen pass.
+    pass compares against the last adaptive likelihood. Every exit returns
+    the pass it evaluated last, so ``loglik_trace[-1]`` is the returned
+    fit's own likelihood and at most ``max_iterations`` passes run.
     """
 
     def discretize(hs: np.ndarray, grid: Grid | None = None, discs=()):
@@ -192,8 +193,7 @@ def run_fit(
     selection: dict = {}
     frozen_at = 0 if reselect is None else None
     freeze_run = 0
-    converged = False
-    while len(trace) < config.max_iterations or len(trace) == frozen_at:
+    while True:
         smoothed = _smoothed_matrix(sample, W, discs)
         ll, dead = mixture_loglik(sample, smoothed)
         degenerate.update(dead.tolist())
@@ -206,12 +206,12 @@ def run_fit(
         trace.append(ll)
         W_next = posterior_weights(sample, smoothed)
         # a change involving -inf is inf or nan, never below tolerance
-        if (
+        converged = bool(
             frozen_at is not None
             and len(trace) > 1
             and abs(trace[-1] - trace[-2]) < config.tolerance
-        ):
-            converged = True
+        )
+        if converged or len(trace) == config.max_iterations:
             break
         W = W_next
         if frozen_at is None:
@@ -228,8 +228,6 @@ def run_fit(
                 grid, discs = discretize(hs, grid, discs)
             if freeze_run >= _FREEZE_RUNS:
                 frozen_at = len(trace)
-    if not converged:
-        W_next = posterior_weights(sample, _smoothed_matrix(sample, W, discs))
 
     diagnostics = {"degenerate_rows": sorted(degenerate)}
     if reselect is not None:

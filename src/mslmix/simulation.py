@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,6 +101,10 @@ def gen_study3(rng: np.random.Generator) -> MixtureSample:
     return MixtureSample(xs, alphas)
 
 
+def _gen_study3_design(n: int, rng: np.random.Generator) -> MixtureSample:
+    return gen_study3(rng)
+
+
 def _study3_truth2(x: np.ndarray) -> np.ndarray:
     return 0.48 * stats.norm.pdf(x, 5.68, np.sqrt(1.04)) + 0.52 * stats.norm.pdf(
         x, 9.17, np.sqrt(0.78)
@@ -112,6 +117,8 @@ class StudyDesign:
     truth-support window (means +- 4 sd) used for error integration.
 
     ``generate(n, rng)`` draws one sample of size n; a fixed design ignores n.
+    Its callables are module-level functions, scipy pdfs or ``partial``s of
+    them, so a design pickles.
     """
 
     study_id: str
@@ -137,7 +144,7 @@ STUDIES: dict[str, StudyDesign] = {
         study_id="1",
         default_n=400,
         generate=gen_study1,
-        truths=(lambda x: stats.norm.pdf(x), lambda x: stats.norm.pdf(x)),
+        truths=(stats.norm.pdf, stats.norm.pdf),
         eval_range=(-4.0, 4.0),
     ),
     "2": StudyDesign(
@@ -145,19 +152,16 @@ STUDIES: dict[str, StudyDesign] = {
         default_n=400,
         generate=gen_study2,
         truths=(
-            lambda x: stats.norm.pdf(x, 10, 5),
-            lambda x: stats.t.pdf(x, 4, loc=20, scale=10),
+            partial(stats.norm.pdf, loc=10, scale=5),
+            partial(stats.t.pdf, df=4, loc=20, scale=10),
         ),
         eval_range=(10 - 4 * 5.0, 20 + 4 * 10 * np.sqrt(2.0)),
     ),
     "3": StudyDesign(
         study_id="3",
         default_n=STUDY3_N1 + STUDY3_N2,
-        generate=lambda n, rng: gen_study3(rng),
-        truths=(
-            lambda x: stats.norm.pdf(x, 10.77, np.sqrt(1.19)),
-            _study3_truth2,
-        ),
+        generate=_gen_study3_design,
+        truths=(partial(stats.norm.pdf, loc=10.77, scale=np.sqrt(1.19)), _study3_truth2),
         eval_range=(5.68 - 4 * np.sqrt(1.04), 10.77 + 4 * np.sqrt(1.19)),
         fixed_n=True,
         pure_block=STUDY3_N2,

@@ -217,12 +217,18 @@ class TestFitAdaptive:
         gap = np.max(np.abs(posterior_weights(s, smoothed) - res.weights))
         assert res.fixed_point_gap == pytest.approx(gap, rel=1e-9, abs=1e-12)
 
-    def test_freeze_on_last_budgeted_pass_gets_one_frozen_pass(self):
+    def test_budget_at_the_freeze_returns_the_budgeted_passes(self):
         s = gen_study1(200, np.random.default_rng(13))
         full = fit_adaptive(s, FitConfig(seed=4))
         frozen_at = full.diagnostics["frozen_at"]
         assert full.converged and frozen_at is not None
-        res = fit_adaptive(s, FitConfig(seed=4, max_iterations=frozen_at))
-        assert res.diagnostics["frozen_at"] == frozen_at
-        assert res.iterations == frozen_at + 1
-        assert np.array_equal(res.loglik_trace, full.loglik_trace[: frozen_at + 1])
+        # a budget of k returns pass k of the unbudgeted run; the freeze is
+        # decided after pass frozen_at, so it shows from budget frozen_at + 1
+        for k, frozen in ((frozen_at, None), (frozen_at + 1, frozen_at)):
+            res = fit_adaptive(s, FitConfig(seed=4, max_iterations=k))
+            assert res.iterations == k
+            assert res.diagnostics["frozen_at"] == frozen
+            assert np.array_equal(res.loglik_trace, full.loglik_trace[:k])
+            assert np.array_equal(
+                res.bandwidth_trace, full.bandwidth_trace[: min(k, frozen_at + 1)]
+            )

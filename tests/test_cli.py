@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -170,6 +171,21 @@ class TestCmdFit:
         assert (outs[0] / "densities.csv").read_bytes() == (
             outs[1] / "densities.csv"
         ).read_bytes()
+
+    def test_result_does_not_depend_on_input_location(self, sample_csv, tmp_path):
+        moved = tmp_path / "elsewhere" / sample_csv.name
+        moved.parent.mkdir()
+        moved.write_bytes(sample_csv.read_bytes())
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for path, out in zip((sample_csv, moved), outs):
+            argv = ["fit", "--input", str(path), "--output", str(out), "--seed", "9"]
+            assert main(argv + ["--grid-size", "512"]) == 0
+        first = (outs[0] / "result.json").read_bytes()
+        assert first == (outs[1] / "result.json").read_bytes()
+        assert json.loads(first)["input"] == {
+            "name": "sample.csv",
+            "sha256": hashlib.sha256(sample_csv.read_bytes()).hexdigest(),
+        }
 
     def test_fixed_bandwidth_mode(self, sample_csv, tmp_path):
         out = tmp_path / "fixed"

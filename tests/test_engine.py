@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mslmix.bandwidth import fit_adaptive
 from mslmix.data import MixtureSample
 from mslmix.engine import (
     ComponentVanishedError,
@@ -12,8 +13,8 @@ from mslmix.engine import (
 )
 from mslmix.kernels import Grid
 from mslmix.metrics import DensityPair, l1_distance
-from mslmix.simulation import gen_study1
-from mslmix.smoothing import WeightedKernelDensity, eval_on_grid
+from mslmix.simulation import gen_study1, gen_study3
+from mslmix.smoothing import WeightedKernelDensity, eval_on_grid, smoothed_loglik
 
 
 def two_component_sample(n=40, seed=0):
@@ -201,10 +202,13 @@ class TestFitFixedBandwidth:
 
     def test_budget_exhausted_is_not_converged(self):
         s = gen_study1(200, np.random.default_rng(77))
-        res = fit_fixed_bandwidth(s, [1.0, 1.0], FitConfig(seed=0, max_iterations=2))
+        config = FitConfig(seed=0, max_iterations=2)
+        res = fit_fixed_bandwidth(s, [1.0, 1.0], config)
         assert not res.converged
-        assert res.iterations == 2
+        assert res.iterations == config.max_iterations
         assert res.fixed_point_gap > 0
+        # the returned fit is the last pass evaluated, not one update past it
+        assert smoothed_loglik(s, res.components, grid=res.grid) == res.loglik_trace[-1]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -222,3 +226,30 @@ class TestFitFixedBandwidth:
         s = two_component_sample(n=10)
         with pytest.raises(ValueError, match="bandwidths must be positive and finite, got"):
             fit_fixed_bandwidth(s, bandwidths)
+
+
+BUDGET_SAMPLES = {
+    "study1": gen_study1(200, np.random.default_rng(5)),
+    "study3": gen_study3(np.random.default_rng(6)),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    study=st.sampled_from(sorted(BUDGET_SAMPLES)),
+    adaptive=st.booleans(),
+    budget=st.integers(1, 12),
+    seed=st.integers(0, 3),
+)
+def test_every_exit_returns_the_pass_it_evaluated(study, adaptive, budget, seed):
+    s = BUDGET_SAMPLES[study]
+    config = FitConfig(seed=seed, max_iterations=budget)
+    if adaptive:
+        res = fit_adaptive(s, config)
+    else:
+        res = fit_fixed_bandwidth(s, [0.6, 0.8], config)
+    assert res.iterations <= budget
+    assert res.converged or res.iterations == budget
+    assert smoothed_loglik(s, res.components, grid=res.grid) == res.loglik_trace[-1]
+    if adaptive:
+        assert np.array_equal(res.bandwidths, res.bandwidth_trace[-1])

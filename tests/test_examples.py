@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,13 @@ import pytest
 import mslmix
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_readme_library_example_runs(capsys):
@@ -76,9 +84,7 @@ def test_fit_panel_compare(tmp_path, monkeypatch, capsys):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(panel))
 
-    spec = importlib.util.spec_from_file_location("fit_panel", ROOT / "scripts" / "fit_panel.py")
-    fit_panel = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fit_panel)
+    fit_panel = load_script("fit_panel")
 
     def compare(a, b):
         monkeypatch.setattr(sys, "argv", ["fit_panel.py", "--compare", str(a), str(b)])
@@ -113,3 +119,28 @@ def test_readme_library_list_is_the_package_root():
     # the bulleted list, continuation lines included; the example code is not
     listed = [line for line in section.splitlines() if line.startswith(("- ", "  "))]
     assert set(re.findall(r"`(\w+)`", "\n".join(listed))) == set(mslmix.__all__)
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, status, wins",
+    [
+        # parent spread 0.02, change 10% slower: inside the 0.25 bound
+        ([1.0, 0.99, 1.01, 1.0, 0.98, 1.02], [1.1, 1.09, 1.11, 1.1, 1.08, 1.12], "lower", "ok", 0),
+        # change median 40% slower
+        ([1.0, 0.99, 1.01, 1.0, 0.98, 1.02], [1.4, 1.39, 1.41, 1.4, 1.38, 1.42], "lower", "worse", 0),
+        # fewer per second by 40% when higher is better
+        ([10.0, 10.1, 9.9, 10.0, 10.2, 9.8], [6.0, 6.1, 5.9, 6.0, 6.2, 5.8], "higher", "worse", 0),
+        # parent spread 0.5 of its median, change runs interleave with it
+        ([0.5, 1.0, 1.5, 0.6, 1.4, 1.0], [0.9, 1.2, 0.8, 1.1, 1.0, 0.95], "lower", "unresolved", 3),
+        # same spread, but every change run beats every parent run
+        ([0.5, 1.0, 1.5, 0.6, 1.4, 1.0], [0.4, 0.45, 0.42, 0.41, 0.44, 0.43], "lower", "ok", 6),
+    ],
+)
+def test_bench_pairs_summary(parent, change, better, status, wins):
+    summary = load_script("bench_pairs").summarize(parent, change, better, 0.25)
+    assert summary["status"] == status
+    assert summary["wins"] == wins
+    assert summary["parent_median"] == statistics.median(parent)
+    assert summary["change_median"] == statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    assert summary["quartiles"] == (q1, q3)

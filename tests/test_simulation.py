@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -106,6 +107,17 @@ class TestGenerators:
             g.points
         )
         assert trapezoid(GridDensity(g, mix)) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("study_id", ["1", "2", "3"])
+    def test_design_round_trips_through_pickle(self, study_id):
+        design = STUDIES[study_id]
+        copy = pickle.loads(pickle.dumps(design))
+        points = Grid.over(*design.eval_range, 1024).points
+        for truth, copied in zip(design.truths, copy.truths, strict=True):
+            assert np.array_equal(truth(points), copied(points))
+        a = design.sample(np.random.default_rng(0))
+        b = copy.sample(np.random.default_rng(0))
+        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.alphas, b.alphas)
 
 
 class TestSimpleEstimator:
